@@ -27,15 +27,45 @@ use crate::compiled::EvalMode;
 use crate::index::SelectionMode;
 use crate::profile::UserProfile;
 use crate::reporting::{Impression, ImpressionLog};
+use adsim_types::hash::mix64;
 use adsim_types::{AccountId, AdId, CampaignId, Money, SimTime, UserId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes the frequency-cap map's `(AdId, UserId)` keys by folding each
+/// id word through [`mix64`].
+///
+/// SipHash's collision protection buys nothing here: both ids are
+/// platform-assigned counters, never caller-chosen bytes, and serving
+/// resolves a request's user through the profile store before any cap
+/// lookup, so an unknown id never reaches the map.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = mix64(self.0 ^ word);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Per-user frequency capping state.
 #[derive(Debug, Clone, Default)]
 pub struct FrequencyCaps {
-    counts: HashMap<(AdId, UserId), u32>,
+    counts: HashMap<(AdId, UserId), u32, BuildHasherDefault<IdHasher>>,
     /// Maximum impressions of one ad a single user is shown.
     pub cap: u32,
 }
@@ -44,7 +74,7 @@ impl FrequencyCaps {
     /// Frequency caps with the given per-(ad, user) limit.
     pub fn new(cap: u32) -> Self {
         Self {
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             cap,
         }
     }

@@ -11,7 +11,7 @@
 use adsim_types::hash::{hash_pii, Digest};
 use adsim_types::{AttributeId, Error, Result, Symbol, SymbolTable, UserId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Self-reported gender (used for demographic targeting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -234,11 +234,21 @@ impl UserProfile {
     }
 }
 
+/// The slot of `id` in [`ProfileStore`]'s dense user vector. `None` for
+/// `UserId(0)`, which is never assigned, and for ids too large to index.
+fn slot(id: UserId) -> Option<usize> {
+    usize::try_from(id.raw().checked_sub(1)?).ok()
+}
+
 /// The store of all platform users.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileStore {
-    users: BTreeMap<UserId, UserProfile>,
-    next_id: u64,
+    /// Dense user storage: user ids count up from 1 and are never
+    /// removed, so `UserId(n)` lives at slot `n - 1` (the layout
+    /// [`crate::campaign::CampaignStore`] gives its ads). The decide
+    /// path's per-opportunity profile fetch and the fold's per-pixel-fire
+    /// existence check are each one slot load.
+    users: Vec<UserProfile>,
     by_pii: HashMap<Digest, Vec<UserId>>,
     /// The platform-wide interner shared by profile facets and compiled
     /// targeting specs: both sides intern through this one table, so
@@ -270,8 +280,7 @@ impl ProfileStore {
 
     /// Registers a new user and returns their id.
     pub fn register(&mut self, age: u8, gender: Gender, state: &str, zip: &str) -> UserId {
-        self.next_id += 1;
-        let id = UserId(self.next_id);
+        let id = UserId(self.users.len() as u64 + 1);
         let facets = ProfileFacets {
             attr_words: vec![0; self.attr_words_capacity],
             state_sym: self.symbols.intern(state),
@@ -280,22 +289,19 @@ impl ProfileStore {
         };
         self.facet_updates += 1;
         self.dirty_facets.insert(id);
-        self.users.insert(
+        self.users.push(UserProfile {
             id,
-            UserProfile {
-                id,
-                age,
-                gender,
-                state: state.to_string(),
-                zip: zip.to_string(),
-                attributes: BTreeSet::new(),
-                pii: Vec::new(),
-                liked_pages: BTreeSet::new(),
-                recent_zips: BTreeSet::new(),
-                coordinates: None,
-                facets,
-            },
-        );
+            age,
+            gender,
+            state: state.to_string(),
+            zip: zip.to_string(),
+            attributes: BTreeSet::new(),
+            pii: Vec::new(),
+            liked_pages: BTreeSet::new(),
+            recent_zips: BTreeSet::new(),
+            coordinates: None,
+            facets,
+        });
         id
     }
 
@@ -311,8 +317,8 @@ impl ProfileStore {
 
     /// Looks up a user.
     pub fn get(&self, id: UserId) -> Result<&UserProfile> {
-        self.users
-            .get(&id)
+        slot(id)
+            .and_then(|slot| self.users.get(slot))
             .ok_or_else(|| Error::not_found("user", id))
     }
 
@@ -320,19 +326,19 @@ impl ProfileStore {
     /// `zip`, or `recent_zips` through it bypasses the facet sidecar —
     /// use the store's mutation methods for those.
     pub fn get_mut(&mut self, id: UserId) -> Result<&mut UserProfile> {
-        self.users
-            .get_mut(&id)
+        slot(id)
+            .and_then(|slot| self.users.get_mut(slot))
             .ok_or_else(|| Error::not_found("user", id))
     }
 
     /// Iterates over all users in id order.
     pub fn iter(&self) -> impl Iterator<Item = &UserProfile> {
-        self.users.values()
+        self.users.iter()
     }
 
     /// All user ids, in order.
     pub fn ids(&self) -> Vec<UserId> {
-        self.users.keys().copied().collect()
+        self.users.iter().map(|u| u.id).collect()
     }
 
     /// Grants a targeting attribute to a user.
@@ -385,10 +391,7 @@ impl ProfileStore {
     /// in `zip`.
     pub fn record_zip_visit(&mut self, user: UserId, zip: &str) -> Result<()> {
         let sym = self.symbols.intern(zip);
-        let profile = self
-            .users
-            .get_mut(&user)
-            .ok_or_else(|| Error::not_found("user", user))?;
+        let profile = self.get_mut(user)?;
         profile.recent_zips.insert(zip.to_string());
         if profile.facets.record_visit(sym) {
             self.facet_updates += 1;
@@ -436,7 +439,7 @@ impl ProfileStore {
             users: self
                 .users
                 .iter()
-                .map(|(&id, u)| (id, u.facets.clone()))
+                .map(|u| (u.id, u.facets.clone()))
                 .collect(),
         }
     }
@@ -453,7 +456,7 @@ impl ProfileStore {
         }
         self.facet_updates = state.facet_updates;
         for (id, facets) in &state.users {
-            if let Some(u) = self.users.get_mut(id) {
+            if let Ok(u) = self.get_mut(*id) {
                 u.facets = facets.clone();
             }
         }
@@ -492,6 +495,32 @@ mod tests {
         assert_eq!(u.state, "Massachusetts");
         assert_eq!(store.len(), 1);
         assert!(store.get(UserId(999)).is_err());
+    }
+
+    #[test]
+    fn ids_outside_the_slots_are_not_found() {
+        let mut store = ProfileStore::new();
+        let first = store.register(30, Gender::Female, "Ohio", "43004");
+        let last = store.register(40, Gender::Male, "Texas", "73301");
+        assert_eq!((first, last), (UserId(1), UserId(2)));
+        let not_found = |id: UserId| Error::not_found("user", id);
+        for id in [UserId(0), UserId(last.raw() + 1), UserId(u64::MAX)] {
+            assert_eq!(store.get(id).unwrap_err(), not_found(id));
+            assert_eq!(store.get_mut(id).unwrap_err(), not_found(id));
+            assert_eq!(
+                store.grant_attribute(id, AttributeId(5)).unwrap_err(),
+                not_found(id)
+            );
+        }
+        // The misses touched no stored profile: no grant landed on a
+        // neighbouring slot.
+        for id in [first, last] {
+            let u = store.get(id).expect("registered");
+            assert_eq!(u.id, id);
+            assert!(u.attributes.is_empty());
+            assert!(!u.facets.has_attribute(AttributeId(5)));
+        }
+        assert_eq!(store.take_dirty_facets(), vec![first, last]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! From-scratch SHA-256, used for PII hashing.
+//! The workspace's hash primitives: from-scratch SHA-256 for PII, and the
+//! one splitmix64 mixer ([`mix64`]) behind every non-cryptographic hash.
 //!
 //! Ad platforms require custom-audience PII uploads (emails, phone numbers)
 //! to be SHA-256 hashed [Facebook/Google/Twitter custom-audience docs, cited
@@ -11,6 +12,11 @@
 //! compression function; it processes a few thousand short strings per
 //! experiment, so throughput is irrelevant — correctness and zero
 //! dependencies are the goals.
+//!
+//! Trace ids, delta-frame state digests, delivery-receipt signatures and
+//! the frequency-cap map all hash on hot paths where SHA-256 is far too
+//! slow. They share [`mix64`] and keep their own domain-separation
+//! constants beside their call sites.
 
 use serde::{Deserialize, Serialize};
 
@@ -140,6 +146,18 @@ pub fn sha256(data: &[u8]) -> Digest {
     Digest(out)
 }
 
+/// The `splitmix64` finalizer: a cheap, well-mixed, bijective avalanche
+/// step on one 64-bit word. Not a cryptographic hash — it guards against
+/// bookkeeping bugs and simulated faults, not adversaries.
+#[inline]
+pub const fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Hashes a piece of PII the way ad platforms expect: trimmed, lowercased,
 /// then SHA-256. (Facebook and Google both document trim+lowercase
 /// normalization before hashing for custom-audience matching.)
@@ -200,6 +218,16 @@ mod tests {
             hash_pii("alice@example.com")
         );
         assert_ne!(hash_pii("alice@example.com"), hash_pii("bob@example.com"));
+    }
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // The first output of a splitmix64 generator seeded with 0 is the
+        // finalizer applied to one golden-ratio increment.
+        assert_eq!(mix64(0x9e37_79b9_7f4a_7c15), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(mix64(0), 0);
+        const AT_COMPILE_TIME: u64 = mix64(1);
+        assert_eq!(AT_COMPILE_TIME, mix64(1));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   (cost-per-mille) helpers the paper's cost analysis uses.
 //! * [`hash`] — a from-scratch SHA-256 implementation (validated against
 //!   NIST test vectors) used for PII hashing, exactly as ad platforms
-//!   require hashed email/phone uploads for custom audiences.
+//!   require hashed email/phone uploads for custom audiences; and the one
+//!   splitmix64 mixer ([`hash::mix64`]) every fast non-cryptographic
+//!   hash in the workspace builds on.
 //! * [`rng`] — seeded determinism helpers so every experiment is
 //!   reproducible bit-for-bit.
 //! * [`stats`] — the small statistics toolbox (binomial tails, chi-square,

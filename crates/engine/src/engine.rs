@@ -507,7 +507,8 @@ impl Engine {
     ///    skipped with exact [`treads_resilience::LostWork`] accounting;
     /// 4. injects scheduled duplicate/late batch deliveries, then cancels
     ///    them the way a real pipeline must: duplicates are dropped by
-    ///    batch identity, late arrivals vanish under the canonical sort;
+    ///    batch identity, late arrivals vanish under the shard-order sort
+    ///    and the canonical merge;
     /// 5. merges, folds, advances the clock, and (on cadence) checkpoints.
     #[allow(clippy::too_many_arguments)]
     fn run_core(
@@ -848,8 +849,9 @@ impl Engine {
                     .partition(|b| !options.faults.delayed(tick_index, b.shard));
                 fault_report.injected += late.len() as u64;
                 telemetry.count("faults.injected", late.len() as u64);
-                // Reordering is fully absorbed by the canonical sort below,
-                // so a late arrival is recovered the moment it lands.
+                // Reordering is fully absorbed by the shard-order sort and
+                // the canonical merge below, so a late arrival is
+                // recovered the moment it lands.
                 fault_report.recovered += late.len() as u64;
                 telemetry.count("faults.recovered", late.len() as u64);
                 batches = on_time;

@@ -67,7 +67,7 @@ mod tests {
     use adplatform::profile::Gender;
     use adplatform::targeting::{TargetingExpr, TargetingSpec};
     use adplatform::{Platform, PlatformConfig};
-    use adsim_types::{Money, UserId};
+    use adsim_types::{Money, SimTime, UserId};
     use std::collections::BTreeSet;
     use websim::{SessionConfig, SiteRegistry};
 
@@ -123,6 +123,38 @@ mod tests {
         let extension_users: BTreeSet<UserId> = users.iter().copied().collect();
         let outcome = engine.run(&mut p, &sites, &users, &extension_users);
         (p, outcome)
+    }
+
+    #[test]
+    fn shard_tick_returns_its_events_sorted_by_key() {
+        let (p, sites, users, _camp) = scenario(40);
+        let mut shard = ShardState::new(
+            0,
+            &users,
+            &BTreeSet::new(),
+            &sites.ids(),
+            &SessionConfig {
+                views_per_user_per_day: 4.0,
+                days: 1,
+            },
+            7,
+            1_000,
+        );
+        let batch = shard.run_tick(
+            &p,
+            &p.billing.budget_snapshot(),
+            &sites,
+            SimTime(DAY_MS),
+            TickProbe::off(),
+        );
+        // Users run one after another, so production order is by user,
+        // not by time: the sort is what puts the batch in key order.
+        let is_impression = |e: &ShardEvent| matches!(e, ShardEvent::Impression { .. });
+        assert!(batch.events.iter().any(is_impression));
+        assert!(!batch.events.iter().all(is_impression));
+        assert!(batch.events.is_sorted_by_key(ShardEvent::key));
+        let users_in_order: Vec<UserId> = batch.events.iter().map(ShardEvent::user).collect();
+        assert!(!users_in_order.is_sorted(), "the tick interleaves users");
     }
 
     #[test]

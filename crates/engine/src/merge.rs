@@ -46,41 +46,84 @@ impl std::error::Error for MergeError {}
 /// 1-shard and 8-shard runs byte-identical, and it is checked by a
 /// property test in the workspace integration suite.
 ///
+/// Shards hand in their batches already sorted by key (see
+/// [`crate::ShardBatch::events`]), so the merge is one linear k-way pass
+/// over sorted runs. A batch that arrives unsorted is stably sorted
+/// first, so any input order is accepted.
+///
 /// A duplicate key fails with [`MergeError`] — see its docs for why that
-/// can only be a replay bug.
+/// can only be a replay bug. The error names the smallest duplicated key.
 pub fn merge_batches(batches: Vec<Vec<ShardEvent>>) -> Result<Vec<ShardEvent>, MergeError> {
-    let mut all: Vec<ShardEvent> = batches.into_iter().flatten().collect();
-    all.sort_by_key(ShardEvent::key);
-    for pair in all.windows(2) {
-        let (at, user, user_seq) = pair[0].key();
-        if (at, user, user_seq) == pair[1].key() {
-            return Err(MergeError { at, user, user_seq });
-        }
+    let mut first = None;
+    let merged = merge_runs(batches, |dup| {
+        first.get_or_insert(dup);
+    });
+    match first {
+        Some(dup) => Err(dup),
+        None => Ok(merged),
     }
-    Ok(all)
 }
 
 /// [`merge_batches`], but **lossy**: instead of failing on a duplicate
-/// key, keeps the first event of each duplicated key (first in the
-/// canonical sort order, which is deterministic because the sort is
-/// stable over the flattened batch order) and returns one [`MergeError`]
-/// per dropped event. The serving applier uses this — a duplicate key
-/// from a buggy fault replay must degrade and be counted, not take the
-/// front end down. The batch engine keeps the strict form: there a
-/// duplicate means corrupted recovery state and must abort the run.
+/// key, keeps the copy from the lowest-indexed batch (within a batch, the
+/// earliest) — exactly the copy a stable sort of the concatenated batches
+/// would keep first — and returns one [`MergeError`] per dropped event, in
+/// merged order. The serving applier uses this — a duplicate key from a
+/// buggy fault replay must degrade and be counted, not take the front end
+/// down. The batch engine keeps the strict form: there a duplicate means
+/// corrupted recovery state and must abort the run.
 pub fn merge_batches_lossy(batches: Vec<Vec<ShardEvent>>) -> (Vec<ShardEvent>, Vec<MergeError>) {
-    let mut all: Vec<ShardEvent> = batches.into_iter().flatten().collect();
-    all.sort_by_key(ShardEvent::key);
     let mut conflicts = Vec::new();
-    all.dedup_by(|next, kept| {
-        let (at, user, user_seq) = kept.key();
-        let dup = (at, user, user_seq) == next.key();
-        if dup {
-            conflicts.push(MergeError { at, user, user_seq });
+    let merged = merge_runs(batches, |dup| conflicts.push(dup));
+    (merged, conflicts)
+}
+
+/// The one merge behind both public forms: stably sorts any run that is
+/// not already sorted by key, then merges the runs in `O(n·k)` for `n`
+/// events in `k` runs (`k` is the shard count). Ties go to the lower run
+/// index, so the output equals a stable sort of the concatenated runs.
+/// Each event whose key repeats the last kept one is dropped and reported
+/// to `duplicate`.
+fn merge_runs(
+    mut runs: Vec<Vec<ShardEvent>>,
+    mut duplicate: impl FnMut(MergeError),
+) -> Vec<ShardEvent> {
+    for run in &mut runs {
+        // The check skips the stable sort's up-front scratch allocation
+        // for the sorted runs every shard hands in.
+        if !run.is_sorted_by_key(ShardEvent::key) {
+            run.sort_by_key(ShardEvent::key);
         }
-        dup
-    });
-    (all, conflicts)
+    }
+    let mut merged: Vec<ShardEvent> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    // Each run's unconsumed tail, in batch order; exhausted tails leave.
+    let mut tails: Vec<&[ShardEvent]> = runs
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|tail| !tail.is_empty())
+        .collect();
+    while !tails.is_empty() {
+        // The smallest head; a strict `<` keeps the lowest batch on ties.
+        let mut r = 0;
+        for i in 1..tails.len() {
+            if tails[i][0].key() < tails[r][0].key() {
+                r = i;
+            }
+        }
+        let event = tails[r][0];
+        tails[r] = &tails[r][1..];
+        if tails[r].is_empty() {
+            tails.remove(r);
+        }
+        match merged.last() {
+            Some(kept) if kept.key() == event.key() => {
+                let (at, user, user_seq) = event.key();
+                duplicate(MergeError { at, user, user_seq });
+            }
+            _ => merged.push(event),
+        }
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -140,6 +183,28 @@ mod tests {
         let (lossy, none) = merge_batches_lossy(vec![batch]);
         assert_eq!(strict, lossy);
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn lossy_merge_keeps_the_lower_batch_copy() {
+        // Two copies of key (2, 1, 1), told apart by their pixel.
+        let copy = |pixel| ShardEvent::PixelFire {
+            at: SimTime(2),
+            user: UserId(1),
+            user_seq: 1,
+            pixel: PixelId(pixel),
+        };
+        // Batch 1 arrives unsorted; its copy of the shared key loses to
+        // batch 0's, as it would under a stable sort of the concatenation.
+        let low = vec![fire(1, 1, 0), copy(7)];
+        let high = vec![fire(3, 1, 2), copy(9), fire(0, 2, 0)];
+        let (merged, conflicts) = merge_batches_lossy(vec![low, high]);
+        assert_eq!(
+            merged,
+            vec![fire(0, 2, 0), fire(1, 1, 0), copy(7), fire(3, 1, 2)]
+        );
+        assert_eq!(conflicts.len(), 1);
+        assert_eq!(conflicts[0].user_seq, 1);
     }
 
     #[test]

@@ -147,7 +147,9 @@ struct TickTally {
 pub struct ShardBatch {
     /// The producing shard's index (for deterministic collection order).
     pub shard: usize,
-    /// Globally-visible effects, in shard-local production order.
+    /// Globally-visible effects, sorted by [`ShardEvent::key`]: the shard
+    /// sorts its batch on its own thread so the engine's serial
+    /// [`crate::merge_batches`] is one linear pass over sorted runs.
     pub events: Vec<ShardEvent>,
     /// Delivery statistics accrued this tick.
     pub stats: DeliveryStats,
@@ -292,7 +294,8 @@ impl ShardState {
     /// mutates only shard-owned state (cursors, RNGs, frequency caps,
     /// extension logs). Users are processed sequentially — within a tick
     /// the decide inputs are frozen and frequency caps are per-user, so
-    /// cross-user processing order cannot influence any outcome.
+    /// cross-user processing order cannot influence any outcome. The
+    /// batch's events come back sorted by [`ShardEvent::key`].
     ///
     /// `probe` controls telemetry: with it on, the shard additionally
     /// fills the batch's metrics registry and flight journal. Telemetry
@@ -646,6 +649,9 @@ impl ShardState {
             batch.flight_dropped = flight.dropped();
             batch.flight = flight.drain();
         }
+        // Stable, and it sorts (key, index) pairs instead of moving whole
+        // events around: cheaper than `sort_by_key` on these wide enums.
+        batch.events.sort_by_cached_key(ShardEvent::key);
         Ok(batch)
     }
 

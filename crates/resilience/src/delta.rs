@@ -63,6 +63,7 @@ use adplatform::pixel::PixelEvent;
 use adplatform::profile::ProfileFacets;
 use adplatform::reporting::Impression;
 use adplatform::Platform;
+use adsim_types::hash::mix64;
 use adsim_types::{AccountId, AdId, AudienceId, CampaignId, SimTime, UserId};
 use websim::extension::ObservedAd;
 
@@ -79,20 +80,11 @@ use crate::ledger::LedgerHead;
 // Slot hashing
 // ---------------------------------------------------------------------------
 
-/// `splitmix64` finalizer: cheap, well-mixed, dependency-free. This digest
-/// detects *bookkeeping bugs* (a dirty set missing a mutated slot), not
-/// adversaries — checkpoints are trusted local files.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Accumulating slot hasher: absorb the tag, the key, and the value, in a
 /// fixed order, and XOR the result into the digest. Two slots hash
-/// independently, so the digest is order-free (a set fold).
+/// independently, so the digest is order-free (a set fold). Built on
+/// [`mix64`]: the digest detects *bookkeeping bugs* (a dirty set missing a
+/// mutated slot), not adversaries — checkpoints are trusted local files.
 #[derive(Clone, Copy)]
 struct Slot(u64);
 
@@ -114,10 +106,10 @@ const TAG_EXT: u64 = 13;
 
 impl Slot {
     fn new(tag: u64) -> Self {
-        Slot(mix(tag ^ 0x9e37_79b9_7f4a_7c15))
+        Slot(mix64(tag ^ 0x9e37_79b9_7f4a_7c15))
     }
     fn u64(mut self, v: u64) -> Self {
-        self.0 = mix(self.0.rotate_left(7) ^ v);
+        self.0 = mix64(self.0.rotate_left(7) ^ v);
         self
     }
     fn i64(self, v: i64) -> Self {
@@ -139,7 +131,7 @@ impl Slot {
         self.bytes(s.as_bytes())
     }
     fn done(self) -> u64 {
-        mix(self.0)
+        mix64(self.0)
     }
 }
 

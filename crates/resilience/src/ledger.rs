@@ -58,8 +58,8 @@
 //! # Hash choice
 //!
 //! Emission runs inside the per-impression tick fold, so the keyed
-//! hashes here are the workspace's splitmix64 word-fold (the same
-//! primitive behind trace ids and delta state digests), not the
+//! hashes here are word-folds finished by the workspace's splitmix64
+//! mixer ([`mix64`], also behind trace ids and delta state digests), not the
 //! from-scratch SHA-256 used for PII: three SHA-256 invocations per
 //! impression more than double engine cost, while the word-fold keeps
 //! emission under 2% (measured by E19). Like the delta digest, it
@@ -70,6 +70,7 @@
 use crate::codec::Writer;
 use crate::fault::{DishonestFault, EquivocationKind, FaultPlan};
 use adplatform::reporting::Impression;
+use adsim_types::hash::mix64;
 use adsim_types::{AdId, Money, SimTime, UserId};
 
 /// Number of receipt chains. Fixed (independent of engine shard count)
@@ -81,15 +82,6 @@ const DOMAIN_PSEUDONYM: u64 = 0x5452_4b5f_5053_4555; // "TRK_PSEU"
 const DOMAIN_SIG: u64 = 0x5452_4b5f_5349_475f; // "TRK_SIG_"
 const DOMAIN_GENESIS: u64 = 0x5452_4b5f_4745_4e45; // "TRK_GENE"
 const DOMAIN_LINK: u64 = 0x5452_4b5f_4c49_4e4b; // "TRK_LINK"
-
-/// `splitmix64` finalizer — the avalanche step of every ledger hash.
-const fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Folds one 64-bit word into the running state (FNV-1a shape, word
 /// granularity — one multiply per field keeps emission off the tick
@@ -104,7 +96,7 @@ const fn keyed(domain: u64, seed: u64) -> u64 {
 }
 
 /// Chain-link starting state (the mix is paid once, at compile time).
-const LINK_INIT: u64 = mix(DOMAIN_LINK);
+const LINK_INIT: u64 = mix64(DOMAIN_LINK);
 
 /// One signed delivery receipt: the platform's attestation that ad
 /// `ad` was delivered to the pseudonymous user at `at` for
@@ -161,7 +153,7 @@ impl DeliveryReceipt {
         h = absorb(h, receipt.ad.raw());
         h = absorb(h, receipt.spec_digest);
         h = absorb(h, receipt.price_micros as u64);
-        mix(h)
+        mix64(h)
     }
 
     /// True if the receipt's signature verifies under `seed`.
@@ -197,11 +189,11 @@ pub struct LedgerHead {
 /// run seed, so each can re-derive exactly *their* pseudonym; nobody
 /// can invert another user's.
 pub fn pseudonym(seed: u64, user: UserId) -> u64 {
-    mix(absorb(keyed(DOMAIN_PSEUDONYM, seed), user.raw()))
+    mix64(absorb(keyed(DOMAIN_PSEUDONYM, seed), user.raw()))
 }
 
 fn genesis_head(seed: u64, chain: u32) -> u64 {
-    mix(absorb(keyed(DOMAIN_GENESIS, seed), u64::from(chain)))
+    mix64(absorb(keyed(DOMAIN_GENESIS, seed), u64::from(chain)))
 }
 
 /// Rolls one receipt into a chain head. The signature binds every field
@@ -213,7 +205,7 @@ fn link(prev_head: u64, receipt: &DeliveryReceipt) -> u64 {
     let mut h = absorb(LINK_INIT, prev_head);
     h = absorb(h, receipt.sig);
     h = absorb(h, receipt.price_micros as u64);
-    mix(h)
+    mix64(h)
 }
 
 /// The platform-side receipt ledger: [`LEDGER_CHAINS`] hash chains with
@@ -404,7 +396,7 @@ impl ReceiptLedger {
             self.tick_start = self.tick * self.tick_ms;
             self.tick_end = self.tick_start + self.tick_ms;
         }
-        let pseudonym = mix(absorb(self.pseudonym_key, user.raw()));
+        let pseudonym = mix64(absorb(self.pseudonym_key, user.raw()));
         let chain = (pseudonym % u64::from(LEDGER_CHAINS)) as usize;
         let mut receipt = DeliveryReceipt {
             seq: self.counts[chain],

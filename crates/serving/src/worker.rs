@@ -66,7 +66,8 @@ pub(crate) struct Envelope {
 pub(crate) struct TickBatch {
     pub shard: usize,
     pub tick_end: u64,
-    /// Globally-visible effects, in shard-local production order.
+    /// Globally-visible effects, sorted by [`ShardEvent::key`] on the
+    /// worker's thread, so the applier's merge is one linear pass.
     pub events: Vec<ShardEvent>,
     pub stats: DeliveryStats,
     pub page_views: u64,
@@ -744,7 +745,9 @@ impl<'a, 'p> Worker<'a, 'p> {
     }
 
     fn flush_tick(&mut self, tick_end: u64) -> TickBatch {
-        let acc = std::mem::replace(&mut self.acc, TickAcc::new());
+        let mut acc = std::mem::replace(&mut self.acc, TickAcc::new());
+        // Stable; sorts (key, index) pairs, not the wide events themselves.
+        acc.events.sort_by_cached_key(ShardEvent::key);
         TickBatch {
             shard: self.shard,
             tick_end,

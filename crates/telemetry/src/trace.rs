@@ -7,7 +7,7 @@
 //!
 //! * **Reproducible ids.** A [`TraceId`] is a pure hash of
 //!   `(seed, at, user, user_seq)` — the same canonical key the engine's
-//!   merge sorts by — so the id of a request is identical across shard
+//!   merge orders by — so the id of a request is identical across shard
 //!   counts, across batch vs. serving runs, and across reruns. No id is
 //!   ever drawn from an RNG.
 //! * **Deterministic, tail-based sampling.** Healthy requests are
@@ -24,6 +24,7 @@
 //! [`traces_to_chrome`] (Chrome trace-event JSON, loadable in Perfetto /
 //! `chrome://tracing`).
 
+use adsim_types::hash::mix64;
 use adsim_types::SimTime;
 
 /// Default retained-trace capacity of a [`TraceCollector`].
@@ -34,14 +35,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// shard ticks). Real events can never reach this value in practice, so
 /// shed-trace ids never collide with served-request ids.
 pub const SHED_SEQ: u64 = u64::MAX;
-
-/// `splitmix64` finalizer: the avalanche mixer behind trace ids and the
-/// sampling decision. Pure, allocation-free, RNG-free.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A causal trace identifier: a pure hash of the request's canonical key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,17 +48,16 @@ impl TraceId {
     /// worker observe that value identically, which is what makes the id
     /// shard-count-invariant and batch/serving-invariant.
     pub fn from_key(seed: u64, at: SimTime, user: u64, user_seq: u64) -> Self {
-        Self(mix(seed
-            ^ mix(
-                at.0 ^ mix(user ^ mix(user_seq ^ 0x7261_6365_5f69_6421))
-            )))
+        Self(mix64(
+            seed ^ mix64(at.0 ^ mix64(user ^ mix64(user_seq ^ 0x7261_6365_5f69_6421))),
+        ))
     }
 
     /// Id for a request shed at the front end by global call index
     /// (brownouts reject by submission index, which is shard-count
     /// -invariant by construction).
     pub fn from_call(seed: u64, call: u64) -> Self {
-        Self(mix(seed ^ mix(call ^ 0x7368_6564_5f63_616c)))
+        Self(mix64(seed ^ mix64(call ^ 0x7368_6564_5f63_616c)))
     }
 
     /// The canonical 16-digit lowercase hex rendering.
@@ -128,7 +120,8 @@ impl TraceConfig {
     /// of the id against the per-mille rate. No RNG is consulted, so the
     /// decision is identical across shard counts and reruns.
     pub fn sampled(&self, id: TraceId) -> bool {
-        self.enabled && mix(id.0 ^ 0x7365_6564_5f73_6d70) % 1000 < u64::from(self.sample_per_mille)
+        self.enabled
+            && mix64(id.0 ^ 0x7365_6564_5f73_6d70) % 1000 < u64::from(self.sample_per_mille)
     }
 }
 

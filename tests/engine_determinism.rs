@@ -14,7 +14,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use treads_repro::adplatform::billing::Invoice;
 use treads_repro::adplatform::reporting::AdReport;
 use treads_repro::adsim_types::{PixelId, SimTime, UserId};
-use treads_repro::engine::{merge_batches, Engine, EngineConfig, ShardEvent};
+use treads_repro::engine::{
+    merge_batches, merge_batches_lossy, Engine, EngineConfig, MergeError, ShardEvent,
+};
 use treads_repro::treads::encoding::Encoding;
 use treads_repro::treads::planner::CampaignPlan;
 use treads_repro::treads::TreadClient;
@@ -125,27 +127,87 @@ fn synthetic_events(n: usize) -> Vec<ShardEvent> {
         .collect()
 }
 
+/// Splits `events` into 8 batches by `assignment`, each batch in
+/// production order or pre-sorted by key (shards hand in sorted runs, but
+/// the merge must accept either), then reverses the batch order, as
+/// scheduling-dependent arrival would.
+fn partition(
+    events: &[ShardEvent],
+    assignment: &[usize],
+    presorted: &[bool],
+) -> Vec<Vec<ShardEvent>> {
+    let mut batches: Vec<Vec<ShardEvent>> = vec![Vec::new(); 8];
+    for (e, &batch) in events.iter().zip(assignment) {
+        batches[batch].push(*e);
+    }
+    for (batch, &sorted) in batches.iter_mut().zip(presorted) {
+        if sorted {
+            batch.sort_by_key(ShardEvent::key);
+        }
+    }
+    batches.reverse();
+    batches
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Merging is invariant to how events are partitioned into batches:
     /// any assignment of events to any number of shards, in any order,
-    /// merges to the single-batch result.
+    /// sorted or not, merges to the single-batch result.
     #[test]
     fn merge_is_permutation_invariant(
         n in 1usize..80,
         assignment in prop::collection::vec(0usize..8, 80..81),
+        presorted in prop::collection::vec(any::<bool>(), 8..9),
     ) {
         let events = synthetic_events(n);
         let canonical = merge_batches(vec![events.clone()]);
-
-        let mut batches: Vec<Vec<ShardEvent>> = vec![Vec::new(); 8];
-        for (i, e) in events.iter().enumerate() {
-            batches[assignment[i]].push(*e);
-        }
-        // Batch arrival order is scheduling-dependent in real runs; model
-        // that by reversing it.
-        batches.reverse();
+        let batches = partition(&events, &assignment, &presorted);
         prop_assert_eq!(merge_batches(batches), canonical);
+    }
+
+    /// With duplicate keys injected, the lossy merge keeps exactly the
+    /// copy a stable sort of the concatenated batches keeps first, and
+    /// reports every dropped copy in merged order; the strict merge fails
+    /// on the smallest duplicated key.
+    #[test]
+    fn lossy_merge_matches_the_stable_sort_oracle(
+        n in 1usize..80,
+        assignment in prop::collection::vec(0usize..8, 80..81),
+        presorted in prop::collection::vec(any::<bool>(), 8..9),
+        injected in prop::collection::vec((0usize..80, 0usize..8), 0..12),
+    ) {
+        let events = synthetic_events(n);
+        let mut batches = partition(&events, &assignment, &presorted);
+        // Each injected copy shares its original's key but carries its
+        // own pixel, so the test sees which copy survives.
+        for (k, &(i, batch)) in injected.iter().enumerate() {
+            let mut copy = events[i % n];
+            if let ShardEvent::PixelFire { pixel, .. } = &mut copy {
+                *pixel = PixelId(100 + k as u64);
+            }
+            let at = (i * 7 + k) % (batches[batch].len() + 1);
+            batches[batch].insert(at, copy);
+        }
+
+        let mut oracle: Vec<ShardEvent> = batches.iter().flatten().copied().collect();
+        oracle.sort_by_key(ShardEvent::key);
+        let mut dropped = Vec::new();
+        oracle.dedup_by(|next, kept| {
+            let dup = next.key() == kept.key();
+            if dup {
+                let (at, user, user_seq) = kept.key();
+                dropped.push(MergeError { at, user, user_seq });
+            }
+            dup
+        });
+
+        let strict = match dropped.first() {
+            Some(&first) => Err(first),
+            None => Ok(oracle.clone()),
+        };
+        prop_assert_eq!(merge_batches(batches.clone()), strict);
+        prop_assert_eq!(merge_batches_lossy(batches), (oracle, dropped));
     }
 }
