@@ -12,11 +12,10 @@
 //! select from a list of targeting attributes that match").
 
 use adsim_types::AttributeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Where an attribute's data comes from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AttributeSource {
     /// Computed by the platform from on-platform activity.
     Platform,
@@ -35,7 +34,7 @@ impl AttributeSource {
 }
 
 /// One targeting attribute in the platform catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeDef {
     /// Platform-assigned identifier.
     pub id: AttributeId,

@@ -15,10 +15,9 @@
 
 use adsim_types::{AdId, Money};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Auction environment parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuctionConfig {
     /// Reserve price: the minimum clearing CPM.
     pub reserve_cpm: Money,
@@ -45,7 +44,7 @@ impl Default for AuctionConfig {
 }
 
 /// A bid entered by one of our advertiser ads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bid {
     /// The bidding ad.
     pub ad: AdId,
@@ -54,7 +53,7 @@ pub struct Bid {
 }
 
 /// Result of one auction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuctionOutcome {
     /// One of our advertiser ads won; it pays `clearing_cpm` per mille.
     Won {

@@ -21,11 +21,10 @@
 
 use adsim_types::hash::Digest;
 use adsim_types::{AudienceId, Error, Result, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What kind of audience this is and where its members come from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AudienceKind {
     /// Materialized from an advertiser's hashed-PII upload.
     Custom {
@@ -55,7 +54,7 @@ pub enum AudienceKind {
 }
 
 /// A saved audience.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Audience {
     /// Platform-assigned id.
     pub id: AudienceId,
@@ -93,7 +92,7 @@ pub trait AudienceResolver {
 }
 
 /// The advertiser-visible reach estimate for an audience.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReachEstimate {
     /// The audience is below the platform's reporting floor; the platform
     /// reveals only that ("fewer than `floor` people").

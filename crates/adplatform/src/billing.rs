@@ -10,11 +10,10 @@
 //! spend stays under the waiver threshold are billed $0 at invoice time.
 
 use adsim_types::{AccountId, AdId, CampaignId, Money};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An account invoice.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Invoice {
     /// The invoiced account.
     pub account: AccountId,

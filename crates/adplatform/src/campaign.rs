@@ -12,11 +12,10 @@ use crate::index::{SelectionMode, TargetingIndex};
 use crate::profile::UserProfile;
 use crate::targeting::TargetingSpec;
 use adsim_types::{AccountId, AdId, CampaignId, Error, Money, Result, SymbolTable};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The visual/textual content of an ad.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdCreative {
     /// Headline shown to the user.
     pub headline: String,
@@ -59,7 +58,7 @@ impl AdCreative {
 }
 
 /// Review/serving status of an ad.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdStatus {
     /// Created, not yet reviewed by policy.
     PendingReview,
@@ -75,7 +74,7 @@ pub enum AdStatus {
 }
 
 /// One ad: creative + targeting under a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ad {
     /// Platform-assigned id.
     pub id: AdId,
@@ -97,7 +96,7 @@ impl Ad {
 }
 
 /// A budgeted group of ads with one bid cap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
     /// Platform-assigned id.
     pub id: CampaignId,

@@ -17,13 +17,12 @@
 
 use crate::campaign::CampaignStore;
 use adsim_types::{AdId, AttributeId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One click as the advertiser's server sees it: a cookie fetched the
 /// landing page of a known ad. No platform user id — the advertiser never
 /// gets one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClickRecord {
     /// The clicked ad.
     pub ad: AdId,

@@ -30,7 +30,6 @@ use crate::reporting::{Impression, ImpressionLog};
 use adsim_types::hash::mix64;
 use adsim_types::{AccountId, AdId, CampaignId, Money, SimTime, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -112,7 +111,7 @@ impl FrequencyCaps {
 }
 
 /// Delivery-loop statistics (per simulation run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryStats {
     /// Opportunities processed.
     pub opportunities: u64,
@@ -130,7 +129,7 @@ pub struct DeliveryStats {
 /// by [`apply_impression`]. The split is what lets the parallel engine run
 /// auctions against read-only state in shard threads and fold the results
 /// into billing/logs/caps in a deterministic merge order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingImpression {
     /// The winning ad.
     pub ad: AdId,

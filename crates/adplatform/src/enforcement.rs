@@ -26,11 +26,10 @@ use crate::campaign::CampaignStore;
 use crate::policy::PolicyEngine;
 use adsim_types::AccountId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnforcementConfig {
     /// An account with at least this many attribute-singleton ads sharing a
     /// creative template is flagged.
@@ -49,7 +48,7 @@ impl Default for EnforcementConfig {
 }
 
 /// What the detector concluded about one account.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuspicionReport {
     /// The scanned account.
     pub account: AccountId,

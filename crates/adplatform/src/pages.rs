@@ -6,11 +6,10 @@
 //! page-engagement audiences through the `Platform` façade.
 
 use adsim_types::{AccountId, Error, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An advertiser-created page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page {
     /// Page id (a bare u64; pages appear in user profiles as liked ids).
     pub id: u64,

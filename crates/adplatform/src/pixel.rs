@@ -9,11 +9,10 @@
 //! the visits and the `Platform` façade routes them into pixel audiences.
 
 use adsim_types::{AccountId, Error, PixelId, Result, SimTime, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A registered tracking pixel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pixel {
     /// Platform-assigned id.
     pub id: PixelId,
@@ -25,7 +24,7 @@ pub struct Pixel {
 }
 
 /// One pixel fire, recorded platform-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PixelEvent {
     /// Which pixel fired.
     pub pixel: PixelId,

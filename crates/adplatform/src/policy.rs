@@ -17,10 +17,9 @@
 use crate::attributes::AttributeCatalog;
 use crate::campaign::AdCreative;
 use adsim_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// How aggressively the reviewer matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strictness {
     /// Reject only second-person assertions of attribute vocabulary
     /// ("you are interested in salsa dancing"). The realistic setting.

@@ -10,11 +10,10 @@
 
 use adsim_types::hash::{hash_pii, Digest};
 use adsim_types::{AttributeId, Error, Result, Symbol, SymbolTable, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Self-reported gender (used for demographic targeting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gender {
     /// Female.
     Female,
@@ -25,7 +24,7 @@ pub enum Gender {
 }
 
 /// How a piece of PII reached the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PiiProvenance {
     /// The user typed it into their own profile.
     UserProvided,
@@ -36,7 +35,7 @@ pub enum PiiProvenance {
 }
 
 /// Kind of personally-identifying identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PiiKind {
     /// An email address.
     Email,
@@ -45,7 +44,7 @@ pub enum PiiKind {
 }
 
 /// A hashed PII record attached to a user.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PiiRecord {
     /// The normalized, hashed identifier.
     pub digest: Digest,
@@ -73,7 +72,7 @@ pub struct PiiRecord {
 /// so delivery evaluates with zero allocation. The mirrored tree fields
 /// stay authoritative for the `EvalMode::Tree` oracle; the equivalence
 /// proptests hold the two views identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileFacets {
     /// Attribute bitset: bit `id.raw()` of word `id.raw() / 64`.
     attr_words: Vec<u64>,
@@ -168,7 +167,7 @@ impl ProfileFacets {
 }
 
 /// One platform user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// Platform-assigned id.
     pub id: UserId,

@@ -13,11 +13,10 @@
 //! breaks when a platform reports exactly.
 
 use adsim_types::{AccountId, AdId, CampaignId, Money, SimTime, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One delivered impression (platform-internal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Impression {
     /// The delivered ad.
     pub ad: AdId,
@@ -44,7 +43,7 @@ pub struct ImpressionLog {
 }
 
 /// The advertiser-visible performance report for one ad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdReport {
     /// The reported ad.
     pub ad: AdId,

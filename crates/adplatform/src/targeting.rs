@@ -17,12 +17,11 @@
 use crate::audience::AudienceResolver;
 use crate::profile::{Gender, UserProfile};
 use adsim_types::{AttributeId, AudienceId};
-use serde::{Deserialize, Serialize};
 
 /// A boolean targeting expression.
 ///
 /// (`PartialEq` only — radius predicates carry `f64` coordinates.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TargetingExpr {
     /// Matches every user (the control ad in the paper's validation targets
     /// all signed-up users with no further parameters).
@@ -230,7 +229,7 @@ pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
 /// A user is in the target iff they match `include` and do **not** match
 /// `exclude`. Treads use `exclude` for negative disclosure: an ad excluding
 /// attribute A tells its recipients that A is false or missing for them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetingSpec {
     /// Who to reach.
     pub include: TargetingExpr,

@@ -21,10 +21,9 @@ use crate::audience::{AudienceKind, AudienceStore};
 use crate::campaign::Ad;
 use crate::profile::UserProfile;
 use adsim_types::AttributeId;
-use serde::{Deserialize, Serialize};
 
 /// The platform-generated explanation for why a user saw an ad.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Explanation {
     /// "You are in this ad's audience because you have `<attribute>`." The
     /// platform reveals at most this one attribute, regardless of how many

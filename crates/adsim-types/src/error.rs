@@ -4,10 +4,8 @@
 //! simulation is one closed system and callers almost always either bubble
 //! errors to the experiment driver or assert on the exact variant in tests.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced anywhere in the simulation stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// An entity id was not found in the store that owns it.
     NotFound {

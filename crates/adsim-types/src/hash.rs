@@ -18,8 +18,6 @@
 //! slow. They share [`mix64`] and keep their own domain-separation
 //! constants beside their call sites.
 
-use serde::{Deserialize, Serialize};
-
 /// SHA-256 round constants (FIPS 180-4 §4.2.2): first 32 bits of the
 /// fractional parts of the cube roots of the first 64 primes.
 const K: [u32; 64] = [
@@ -40,7 +38,7 @@ const H0: [u32; 8] = [
 ];
 
 /// A 256-bit digest.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -9,14 +9,10 @@
 //! profile store allocates [`UserId`]s); this module only defines the types
 //! and a small sequential [`IdAllocator`].
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -94,7 +90,7 @@ define_id!(
 ///
 /// Stores hand one of these per entity class; ids start at the configured
 /// base (default 1, so that 0 can be reserved for sentinels in tests).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IdAllocator {
     next: u64,
 }

@@ -7,12 +7,8 @@
 //! (1 USD = 1,000,000 µ$). The CPM helpers convert between a
 //! cost-per-mille price and a per-impression charge exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// An exact amount of money in micro-USD (1 USD = 1,000,000 µ$).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Money(pub i64);
 
 impl Money {

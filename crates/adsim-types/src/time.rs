@@ -10,19 +10,13 @@
 //! is a plain value type — stores that need shared access wrap it in their
 //! own synchronization (see `adplatform::Platform`).
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated timeline, in milliseconds since simulation
 /// start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl SimTime {
@@ -132,7 +126,7 @@ impl std::fmt::Display for Duration {
 /// A monotone counter the simulation driver advances. Components read the
 /// current instant with [`SimClock::now`]; only the driver should call
 /// [`SimClock::advance`] / [`SimClock::advance_to`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimClock {
     now: SimTime,
 }

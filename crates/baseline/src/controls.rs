@@ -12,11 +12,10 @@ use adplatform::profile::Gender;
 use adplatform::Platform;
 use adsim_types::{AttributeId, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Parameters of the control population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlDesign {
     /// Number of fake accounts to create.
     pub accounts: usize,
@@ -34,7 +33,7 @@ impl Default for ControlDesign {
 }
 
 /// The spawned control population with its ground-truth assignments.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlPopulation {
     /// The fake accounts, in creation order.
     pub accounts: Vec<UserId>,

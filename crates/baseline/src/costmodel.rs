@@ -6,10 +6,9 @@
 //! driven, and the statistical-power floor on the population size.
 
 use adsim_types::stats::ln_choose;
-use serde::{Deserialize, Serialize};
 
 /// Cost accounting for one baseline deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineCost {
     /// Fake accounts created.
     pub accounts: usize,

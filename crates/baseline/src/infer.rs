@@ -19,11 +19,10 @@ use crate::controls::ControlPopulation;
 use crate::observe::ExposureMatrix;
 use adsim_types::stats::{benjamini_hochberg, bonferroni, chi_square_2x2};
 use adsim_types::{AdId, AttributeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Multiple-testing correction to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Correction {
     /// Family-wise error control at level `alpha`.
     Bonferroni {
@@ -38,7 +37,7 @@ pub enum Correction {
 }
 
 /// One inferred (ad → attribute) association.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferredTargeting {
     /// The ad.
     pub ad: AdId,
@@ -109,7 +108,7 @@ pub fn infer_targeting(
 }
 
 /// Precision/recall of inferred associations against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accuracy {
     /// Correct inferences.
     pub true_positives: usize,

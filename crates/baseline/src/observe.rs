@@ -7,11 +7,10 @@
 
 use adplatform::Platform;
 use adsim_types::{AdId, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The binary exposure matrix.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExposureMatrix {
     /// Accounts observed (rows).
     pub accounts: Vec<UserId>,

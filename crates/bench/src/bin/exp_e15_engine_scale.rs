@@ -39,10 +39,7 @@
 //! chain prefix must fold byte-identical to the corresponding full
 //! snapshot, and both a resume-from-snapshot and a resume from a
 //! base+2-delta prefix must reproduce the uninterrupted run's outputs
-//! exactly (`checkpoint` in the JSON). A final section re-serializes
-//! session generation into the tick (`pipeline_sessions: false`) to
-//! price the pipelined overlap's per-tick critical path (`pipeline` in
-//! the JSON).
+//! exactly (`checkpoint` in the JSON).
 //!
 //! Knobs: `TREADS_SEED` (seed), `TREADS_ENGINE_SWEEP_USERS` (sweep
 //! population, default 20 000), `TREADS_ENGINE_AD_SWEEP_USERS`
@@ -724,13 +721,12 @@ fn main() {
         views_per_user_per_day: sweep_session.views_per_user_per_day,
         days: 8,
     };
-    let run_supervised = |every: u64, delta_base: u64, pipeline: bool| {
+    let run_supervised = |every: u64, delta_base: u64| {
         let (mut p, sites, users) = build(ckpt_users, seed);
         let engine = Engine::new(EngineConfig {
             shards: ckpt_shards,
             session: ckpt_session,
             seed,
-            pipeline_sessions: pipeline,
             ..EngineConfig::default()
         });
         let options = ResilienceOptions {
@@ -763,11 +759,11 @@ fn main() {
     let mut checkpointed = None;
     let mut deltaed = None;
     for _ in 0..3 {
-        plain_ckpt_s = plain_ckpt_s.min(run_supervised(0, 0, true).0);
-        let run = run_supervised(1, 0, true);
+        plain_ckpt_s = plain_ckpt_s.min(run_supervised(0, 0).0);
+        let run = run_supervised(1, 0);
         every_tick_s = every_tick_s.min(run.0);
         checkpointed = Some(run);
-        let run = run_supervised(1, 8, true);
+        let run = run_supervised(1, 8);
         delta_tick_s = delta_tick_s.min(run.0);
         deltaed = Some(run);
     }
@@ -922,36 +918,6 @@ fn main() {
         delta_resume_identical
     );
 
-    section("Pipelined tick overlap (session-gen for t+1 during merge/apply of t)");
-    // Same run with the overlap disabled (session generation re-serialized
-    // into the tick) vs enabled. Outputs must be identical either way; the
-    // wall-clock delta is whatever the hardware gives — on a single
-    // hardware thread the overlapped generation interleaves rather than
-    // parallelizes, so the honest expectation there is parity, not a win.
-    let mut serialized_s = f64::INFINITY;
-    let mut overlapped_s = f64::INFINITY;
-    let mut serial_run = None;
-    let mut overlap_run = None;
-    for _ in 0..3 {
-        let run = run_supervised(0, 0, false);
-        serialized_s = serialized_s.min(run.0);
-        serial_run = Some((run.2, run.3, run.1.outcome.report.impressions));
-        let run = run_supervised(0, 0, true);
-        overlapped_s = overlapped_s.min(run.0);
-        overlap_run = Some((run.2, run.3, run.1.outcome.report.impressions));
-    }
-    let pipeline_ticks = ckpt_out.outcome.report.ticks.max(1);
-    let serialized_tick_ms = serialized_s / pipeline_ticks as f64 * 1e3;
-    let overlapped_tick_ms = overlapped_s / pipeline_ticks as f64 * 1e3;
-    let pipeline_outputs_identical = serial_run == overlap_run;
-    println!(
-        "  {ckpt_users} users, {ckpt_shards} shard(s), {pipeline_ticks} tick(s), {threads} \
-         hardware thread(s): {serialized_tick_ms:.2} ms/tick serialized, \
-         {overlapped_tick_ms:.2} ms/tick overlapped ({:+.2}% critical path), identical \
-         outputs = {pipeline_outputs_identical}",
-        (overlapped_s - serialized_s) / serialized_s * 100.0
-    );
-
     section("Million-user run");
     let big_users = env_u64("TREADS_ENGINE_BIG_USERS", 1_000_000);
     let big = if big_users > 0 {
@@ -991,7 +957,7 @@ fn main() {
     .expect("write telemetry snapshot prom");
     println!("\n  wrote experiments-out/telemetry_engine_scale.{{json,prom}}");
 
-    // Hand-rolled JSON (the vendored serde stand-in does not serialize).
+    // Hand-rolled JSON: the workspace has no serialization dependency.
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"experiment\": \"engine_scale\",\n");
@@ -1105,14 +1071,6 @@ fn main() {
          \"delta_resume_identical\": {delta_resume_identical}}},\n",
         delta_sizes.len()
     ));
-    json.push_str(&format!(
-        "  \"pipeline\": {{\"ticks\": {pipeline_ticks}, \
-         \"serialized_elapsed_s\": {serialized_s:.4}, \
-         \"overlapped_elapsed_s\": {overlapped_s:.4}, \
-         \"serialized_per_tick_ms\": {serialized_tick_ms:.3}, \
-         \"overlapped_per_tick_ms\": {overlapped_tick_ms:.3}, \
-         \"outputs_identical\": {pipeline_outputs_identical}}},\n"
-    ));
     match &big {
         Some(m) => json.push_str(&format!(
             "  \"million\": {{\"users\": {}, \"shards\": {}, \"elapsed_s\": {:.4}, \
@@ -1194,10 +1152,6 @@ fn main() {
     verdict(
         "delta cadence at least halves the full cadence's every-tick overhead",
         delta_tick_s - plain_ckpt_s < (every_tick_s - plain_ckpt_s) / 2.0,
-    );
-    verdict(
-        "pipelined and serialized tick loops produce identical outputs",
-        pipeline_outputs_identical,
     );
     verdict(
         "million-user run completes",

@@ -13,11 +13,10 @@
 //! at most one attribute of a group, and the planner's log₂(m) bit-slice
 //! plans (§3.1 "Scale") operate on groups.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Top-level taxonomy segment of a partner attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Segment {
     /// Net worth, income, investable assets.
     Financial,
@@ -70,7 +69,7 @@ impl Segment {
 }
 
 /// One partner attribute as shipped by a data broker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartnerAttribute {
     /// Catalog-unique name, e.g. `"Net worth: $2M+"`.
     pub name: String,

@@ -14,10 +14,9 @@
 use crate::catalog::PartnerCatalog;
 use crate::records::BrokerRecord;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A person's offline footprint, the input to the coverage model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Footprint {
     /// Years of U.S. residence / economic activity.
     pub years_resident: f64,
@@ -50,7 +49,7 @@ impl Footprint {
 }
 
 /// Parameters of the coverage model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageModel {
     /// Years of residence at which the probability of having *any* dossier
     /// reaches one half (logistic midpoint).

@@ -12,12 +12,11 @@
 
 use crate::records::BrokerRecord;
 use adsim_types::hash::Digest;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
 /// Outcome of matching one platform user against the feed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchOutcome {
     /// No dossier matched either identifier.
     NoMatch,

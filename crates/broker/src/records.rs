@@ -6,11 +6,10 @@
 //! set of catalog attributes the broker asserts about the person.
 
 use adsim_types::hash::{hash_pii, Digest};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One person's dossier at a data broker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrokerRecord {
     /// Hashed email address (normalized, SHA-256), the primary match key.
     pub hashed_email: Digest,

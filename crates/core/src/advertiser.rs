@@ -21,10 +21,9 @@
 use adplatform::transparency::Explanation;
 use adplatform::Platform;
 use adsim_types::{AdId, Result, UserId};
-use serde::{Deserialize, Serialize};
 
 /// The advertiser's self-published explanation for one ad.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntentExplanation {
     /// The ad being explained.
     pub ad: AdId,
@@ -37,7 +36,7 @@ pub struct IntentExplanation {
 }
 
 /// Result of cross-checking an advertiser explanation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verification {
     /// Claims match the ad's actual targeting (and the platform's
     /// explanation, where it says anything).
@@ -111,7 +110,7 @@ pub fn verify_explanation(
 
 /// The disclosure-count comparison E9 tabulates for one (ad, user) pair:
 /// how many of the ad's targeting attributes each mechanism reveals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisclosureComparison {
     /// Attributes the ad actually targets.
     pub actual: usize,

@@ -19,12 +19,11 @@ use crate::disclosure::Disclosure;
 use crate::encoding::{decode, Codebook};
 use crate::planner::decode_group_code;
 use adplatform::attributes::AttributeCatalog;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use websim::extension::ExtensionLog;
 
 /// What the user learned from the Treads they received.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RevealedProfile {
     /// Attributes the platform provably holds (positive Treads).
     pub has: BTreeSet<String>,
@@ -56,7 +55,7 @@ impl RevealedProfile {
 }
 
 /// The decoder configuration a user receives at opt-in.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreadClient {
     /// The provider's codebook.
     pub codebook: Codebook,

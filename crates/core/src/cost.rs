@@ -19,7 +19,6 @@
 
 use crate::planner::bits_needed;
 use adsim_types::Money;
-use serde::{Deserialize, Serialize};
 
 /// Cost to reveal one attribute to one user at the given CPM bid.
 pub fn per_attribute_cost(cpm: Money) -> Money {
@@ -33,7 +32,7 @@ pub fn per_user_cost(attributes_held: usize, cpm: Money) -> Money {
 }
 
 /// Cost comparison of the two plans for one m-valued attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiValuePlanCost {
     /// Number of values the attribute can take.
     pub m: usize,
@@ -82,7 +81,7 @@ pub fn bit_slice_expected_impressions(m: usize) -> f64 {
 }
 
 /// How a provider covers its impression bill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FundingModel {
     /// The provider pays from a donation pool.
     ProviderFunded {
@@ -97,7 +96,7 @@ pub enum FundingModel {
 }
 
 /// A campaign-budget projection for a cohort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Projection {
     /// Opted-in users.
     pub users: usize,

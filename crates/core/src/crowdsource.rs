@@ -16,10 +16,9 @@ use crate::planner::CampaignPlan;
 use crate::provider::{RunReceipt, TransparencyProvider};
 use adplatform::Platform;
 use adsim_types::{AudienceId, PixelId, Result, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a crowdsourced run after an enforcement sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurvivalReport {
     /// Accounts the plan was spread across.
     pub accounts: usize,
@@ -57,7 +56,7 @@ impl SurvivalReport {
 /// single opt-in page carries every member's pixel — one visit enrolls the
 /// visitor with every crowd account at once (the same trick §3.1 uses for
 /// multiple platforms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrowdChannel {
     /// The crowd account.
     pub account: adsim_types::AccountId,

@@ -19,10 +19,9 @@
 //! round-trip property is what the encoding proptests check.
 
 use adsim_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// The single piece of targeting information one Tread reveals.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Disclosure {
     /// The platform holds this attribute for you.
     HasAttribute {

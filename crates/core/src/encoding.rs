@@ -24,11 +24,10 @@ use crate::disclosure::Disclosure;
 use adsim_types::hash::sha256;
 use adsim_types::{Error, Result};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The four disclosure-encoding channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
     /// Human-readable disclosure text in the ad body (Figure 1a).
     Explicit,
@@ -63,7 +62,7 @@ impl Encoding {
 
 /// What an encoding produces, ready to drop into an
 /// [`adplatform::campaign::AdCreative`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedPayload {
     /// Ad body text.
     pub body: String,
@@ -79,7 +78,7 @@ pub struct EncodedPayload {
 /// separators (the paper's screenshot shows "2,830,120"), derived
 /// deterministically from the codebook seed so provider and user builds
 /// agree.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Codebook {
     seed: u64,
     token_to_wire: BTreeMap<String, String>,

@@ -23,7 +23,6 @@ use crate::provider::TransparencyProvider;
 use adplatform::Platform;
 use adsim_types::hash::{hash_pii, Digest};
 use adsim_types::{AudienceId, PixelId, Result, UserId};
-use serde::{Deserialize, Serialize};
 
 /// User-side PII hashing: the provider never sees the raw identifier.
 pub fn hash_pii_client_side(raw: &str) -> Digest {
@@ -49,7 +48,7 @@ pub fn optin_by_pixel(platform: &mut Platform, pixel: PixelId, users: &[UserId])
 
 /// A per-attribute custom opt-in channel: one distinct pixel (and hence
 /// one distinct anonymous audience) per attribute users asked about.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CustomAttributeOptin {
     /// The attribute this channel checks.
     pub attribute: String,

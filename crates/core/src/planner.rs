@@ -29,11 +29,10 @@ use crate::encoding::Encoding;
 use crate::tread::Tread;
 use adsim_types::AttributeId;
 use adsim_types::Money;
-use serde::{Deserialize, Serialize};
 
 /// One Tread within a plan, with its stable index (used for landing-page
 /// URLs and reporting).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedTread {
     /// Position within the plan.
     pub index: usize,
@@ -42,7 +41,7 @@ pub struct PlannedTread {
 }
 
 /// An ordered set of Treads the provider will run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignPlan {
     /// Plan label (used in campaign names).
     pub name: String,

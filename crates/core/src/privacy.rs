@@ -17,11 +17,10 @@
 //! the E4 ablation (platform privacy floor disabled).
 
 use crate::provider::ProviderView;
-use serde::{Deserialize, Serialize};
 
 /// What the provider can infer about one Tread's attribute from the
 /// platform's aggregate report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountInference {
     /// Plan index of the Tread.
     pub index: usize,
@@ -36,7 +35,7 @@ pub struct CountInference {
 }
 
 /// Risk classification for the linkage attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkageRisk {
     /// Aggregate reporting is coarse: the provider cannot even bound the
     /// holder set usefully.
@@ -108,7 +107,7 @@ pub fn linkage_risk(
 }
 
 /// Assessment of a full view against a cohort.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewAssessment {
     /// Per-Tread linkage risks.
     pub risks: Vec<(usize, LinkageRisk)>,

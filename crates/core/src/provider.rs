@@ -28,12 +28,11 @@ use adsim_types::hash::Digest;
 use adsim_types::{
     AccountId, AdId, AdvertiserId, AudienceId, CampaignId, Duration, Error, Money, PixelId, Result,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use treads_resilience::{BackoffPolicy, FaultPlan, FlakyPlatform, SubmissionApi};
 
 /// A Tread that has been placed on the platform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedTread {
     /// Index within the plan.
     pub index: usize,
@@ -48,7 +47,7 @@ pub struct PlacedTread {
 }
 
 /// The outcome of running one plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReceipt {
     /// The plan's name.
     pub plan_name: String,
@@ -145,7 +144,7 @@ fn flatten_platform_error(e: PlatformError) -> Error {
 
 /// Aggregate statistics for one placed Tread, as the platform reports them
 /// to the advertiser.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreadStats {
     /// Index within the plan.
     pub index: usize,
@@ -159,7 +158,7 @@ pub struct TreadStats {
 /// reports and its invoice. **No user identities anywhere** — this struct
 /// is the formal statement of the §3.1 threat model's "performance
 /// statistics reported by the advertising platform".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProviderView {
     /// Per-Tread aggregate statistics.
     pub stats: Vec<TreadStats>,

@@ -13,10 +13,9 @@
 //! of a Tread is not proof of absence unless an exclusion Tread ran).
 
 use crate::client::RevealedProfile;
-use serde::{Deserialize, Serialize};
 
 /// Metadata stamped onto a report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportContext {
     /// The ad platform the findings concern (e.g. `"BlueBook"`).
     pub platform_name: String,

@@ -19,10 +19,9 @@ use crate::encoding::{encode, Codebook, Encoding};
 use adplatform::campaign::AdCreative;
 use adplatform::targeting::{TargetingExpr, TargetingSpec};
 use adsim_types::{AttributeId, AudienceId};
-use serde::{Deserialize, Serialize};
 
 /// Where the disclosure is placed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DisclosureChannel {
     /// Inside the ad creative itself. The user never leaves the platform —
     /// "leaving no scope for leakage except via the platform" (§3.1) — but
@@ -41,7 +40,7 @@ pub enum DisclosureChannel {
 }
 
 /// A transparency-enhancing advertisement, ready to submit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tread {
     /// What this Tread reveals to its recipients.
     pub disclosure: Disclosure,

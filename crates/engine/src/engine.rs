@@ -6,7 +6,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use adplatform::Platform;
 use adsim_types::{CampaignId, Error, SimTime, UserId};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use treads_resilience::checkpoint::{
     ConfigEcho, EngineCheckpoint, ReportCounters, ShardCheckpoint,
 };
@@ -27,7 +26,7 @@ use crate::shard::{CrashPoint, CrashSignal, ShardBatch, ShardState, TickProbe};
 pub const DAY_MS: u64 = 86_400_000;
 
 /// Engine parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Number of shards (and worker threads) to run.
     pub shards: usize,
@@ -38,12 +37,6 @@ pub struct EngineConfig {
     pub tick_ms: u64,
     /// Master seed; every user derives private substreams from it.
     pub seed: u64,
-    /// Overlap tick `t+1`'s session generation with tick `t`'s
-    /// merge/apply on the shard worker threads. Session generation is
-    /// pure in `(user, seed, day)` and the merge never reads browsing
-    /// buffers, so the overlap is a wall-clock optimization only: output
-    /// is byte-identical either way.
-    pub pipeline_sessions: bool,
     /// Emit a signed [`ReceiptLedger`] delivery receipt for every folded
     /// impression. Receipts are appended at the single-writer fold, so
     /// chains are byte-identical across shard counts; chain heads are
@@ -58,14 +51,13 @@ impl Default for EngineConfig {
             session: SessionConfig::default(),
             tick_ms: DAY_MS,
             seed: 42,
-            pipeline_sessions: true,
             ledger: true,
         }
     }
 }
 
 /// Counters from one engine run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineReport {
     /// Users simulated.
     pub users: u64,
@@ -664,9 +656,9 @@ impl Engine {
         }
 
         // Prime every shard's browsing buffers for the first tick. Later
-        // ticks prefetch for tick t+1 while tick t merges and folds (when
-        // `pipeline_sessions` is on), so this is the only generation wait
-        // that sits fully on the critical path.
+        // ticks prefetch for tick t+1 while tick t merges and folds, so
+        // this is the only generation wait that sits fully on the critical
+        // path.
         if tick_start < horizon {
             let first_end = (tick_start + self.config.tick_ms).min(horizon);
             span!(telemetry, "phase.session_gen_ns", {
@@ -942,8 +934,7 @@ impl Engine {
             // and the merge/fold never touches browsing buffers, so the
             // overlap cannot change any folded byte.
             let prefetch_until = (tick_end + self.config.tick_ms).min(horizon);
-            let prefetch_needed = tick_end < horizon;
-            let overlap = self.config.pipeline_sessions && prefetch_needed;
+            let overlap = tick_end < horizon;
             let overlap_gen_ns = Mutex::new(0u64);
             crossbeam::scope(|s| -> adsim_types::Result<()> {
                 if overlap {
@@ -1039,7 +1030,9 @@ impl Engine {
                         shards: shard_cursors,
                         ledger: committed_heads.clone(),
                     };
-                    telemetry.count("checkpoint.bytes", cp.to_bytes().len() as u64);
+                    if telemetry.is_enabled() {
+                        telemetry.count("checkpoint.bytes", cp.to_bytes().len() as u64);
+                    }
                     telemetry.count("ledger.heads_committed", committed_heads.len() as u64);
                     if let Some(tracker) = tracker.as_mut() {
                         tracker.rebase(&cp, platform);
@@ -1057,29 +1050,36 @@ impl Engine {
                         faults: fault_report.clone(),
                         ledger: committed_heads,
                     };
-                    let frame = tracker
+                    let delta = tracker
                         .as_mut()
                         .expect("delta sources only exist in delta mode")
                         .take_delta(head, platform, sources);
-                    let dirty_slots = frame.billing_accounts.len()
-                        + frame.billing_campaigns.len()
-                        + frame.billing_ads.len()
-                        + frame.billing_links.len()
-                        + frame.freq.len()
-                        + frame
-                            .audience_adds
-                            .iter()
-                            .map(|(_, m)| m.len())
-                            .sum::<usize>()
-                        + frame.facets.len()
-                        + frame
-                            .shards
-                            .iter()
-                            .map(|s| s.users.len() + s.freq.len() + s.ext.len())
-                            .sum::<usize>();
-                    let frame = CheckpointFrame::Delta(frame);
-                    telemetry.count("checkpoint.delta_bytes", frame.to_bytes().len() as u64);
-                    telemetry.count("checkpoint.dirty_slots", dirty_slots as u64);
+                    // Only a recording run pays for the counts (the byte
+                    // count is a full encode); the counters stay
+                    // registered at zero.
+                    if telemetry.is_enabled() {
+                        let dirty_slots = delta.billing_accounts.len()
+                            + delta.billing_campaigns.len()
+                            + delta.billing_ads.len()
+                            + delta.billing_links.len()
+                            + delta.freq.len()
+                            + delta
+                                .audience_adds
+                                .iter()
+                                .map(|(_, m)| m.len())
+                                .sum::<usize>()
+                            + delta.facets.len()
+                            + delta
+                                .shards
+                                .iter()
+                                .map(|s| s.users.len() + s.freq.len() + s.ext.len())
+                                .sum::<usize>();
+                        telemetry.count("checkpoint.dirty_slots", dirty_slots as u64);
+                    }
+                    let frame = CheckpointFrame::Delta(delta);
+                    if telemetry.is_enabled() {
+                        telemetry.count("checkpoint.delta_bytes", frame.to_bytes().len() as u64);
+                    }
                     frames.push(frame);
                 }
                 if take_frame {
@@ -1091,18 +1091,6 @@ impl Engine {
 
             if overlap {
                 telemetry.observe_ns("phase.session_gen_ns", overlap_gen_ns.into_inner());
-            } else if prefetch_needed {
-                // Serialized mode (`pipeline_sessions = false`): generate
-                // the next tick's sessions on the critical path, after the
-                // fold — the configuration E15 measures the overlap against.
-                span!(telemetry, "phase.session_gen_ns", {
-                    crossbeam::scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move |_| shard.prefetch_sessions(SimTime(prefetch_until)));
-                        }
-                    })
-                    .expect("engine prefetch scope")
-                });
             }
 
             tick_start = tick_end;

@@ -7,10 +7,9 @@
 
 use adplatform::delivery::PendingImpression;
 use adsim_types::{PixelId, SimTime, UserId};
-use serde::{Deserialize, Serialize};
 
 /// One globally-visible effect produced inside a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardEvent {
     /// A user loaded a page carrying a tracking pixel.
     PixelFire {

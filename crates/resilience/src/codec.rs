@@ -1,11 +1,10 @@
 //! A minimal hand-rolled binary codec for checkpoints.
 //!
-//! The workspace's `serde` is an offline no-op stub, so checkpoint framing
-//! is spelled out explicitly: little-endian fixed-width integers and
-//! length-prefixed byte strings, nothing self-describing. That is a
-//! feature for the resume contract — the encoding has exactly one valid
-//! form per value, so "byte-identical checkpoint" and "equal state" are
-//! the same statement.
+//! Checkpoint framing is spelled out explicitly: little-endian
+//! fixed-width integers and length-prefixed byte strings, nothing
+//! self-describing. That serves the resume contract — the encoding has
+//! exactly one valid form per value, so "byte-identical checkpoint" and
+//! "equal state" are the same statement.
 //!
 //! Layout rules (see DESIGN.md "Failure model & recovery"):
 //! * all integers little-endian, fixed width;

@@ -1,33 +1,41 @@
-//! Incremental (delta) checkpoint frames — introduced in TRCK v3 (v4
-//! adds the receipt-ledger chain heads, carried whole by every frame).
+//! Incremental (delta) checkpoint frames — introduced in TRCK v3 — and,
+//! since v5, the one TRCK body codec for both frame kinds.
 //!
-//! A full [`EngineCheckpoint`] re-encodes the entire mutable state every
-//! time it is taken; at population scale that clone-and-encode dominates
-//! the tick. A [`DeltaFrame`] instead encodes only the slots that changed
-//! since the previous frame, against a periodic full *base* frame:
+//! A [`DeltaFrame`] encodes only the slots that changed since the
+//! previous frame:
 //!
 //! * **append-only journals** (impression log, pixel log, interner symbol
 //!   table, per-user extension logs) are carried as a base length plus
-//!   the new suffix — the decoder rejects a frame whose base length does
+//!   the new suffix — the fold rejects a frame whose base length does
 //!   not match the state it is applied to;
-//! * **keyed maps** (billing spend, frequency caps, per-user facets,
-//!   per-user shard cursors) are carried as upserts of the dirty keys,
-//!   discovered either at the mutation site ([`adplatform`]'s audience
-//!   and profile stores record dirty keys as they mutate) or *derived*
-//!   from the impression-log suffix (every impression names the exact
-//!   account/campaign/ad/frequency slots it touched, so the hot path
-//!   pays nothing);
-//! * **scalars** (clock, run counters, fault accounting, billing totals)
-//!   are tiny and carried whole.
+//! * **keyed maps** (billing spend, frequency caps, audience memberships,
+//!   per-user facets, per-user shard cursors) are carried as upserts of
+//!   the dirty keys, strictly increasing by key, discovered either at the
+//!   mutation site ([`adplatform`]'s audience and profile stores record
+//!   dirty keys as they mutate) or *derived* from the impression-log
+//!   suffix (every impression names the exact account/campaign/ad/
+//!   frequency slots it touched, so the hot path pays nothing);
+//! * **scalars** (clock, run counters, fault accounting, billing totals,
+//!   receipt-ledger heads) are tiny and carried whole.
 //!
-//! Every delta frame ends with a **state digest**: a set-homomorphic
-//! XOR-fold over per-slot hashes of the *entire* post-frame state,
-//! maintained incrementally by the [`DeltaTracker`] as slots change.
-//! [`fold_frames`] recomputes the digest from the folded state after
-//! applying each delta and rejects the chain on any mismatch — a dirty
-//! set that failed to mention a mutated slot fails resume loudly
-//! ([`DecodeError::Invalid`]`("state digest mismatch")`) instead of
-//! resuming silently wrong.
+//! Every frame ends with a **state digest**: a set-homomorphic XOR-fold
+//! over per-slot hashes of the *entire* post-frame state, maintained
+//! incrementally by the [`DeltaTracker`] as slots change. Applying a
+//! frame recomputes the digest from the resulting state and rejects it on
+//! any mismatch — a dirty set that failed to mention a mutated slot fails
+//! resume loudly ([`DecodeError::Invalid`]`("state digest mismatch")`)
+//! instead of resuming silently wrong.
+//!
+//! **A full frame is the delta from the empty state.** An
+//! [`EngineCheckpoint`] is encoded as the frame that takes the empty
+//! state to it: every keyed slot an upsert, every journal appended at
+//! base 0, every audience and extension log listed (empty ones too), and
+//! the checkpoint's digest. Decoding one applies that frame to an empty
+//! checkpoint with the same `apply` that [`fold_frames`] runs for deltas,
+//! so one encoder, one decoder, and one reconstruction path cover both
+//! kinds, and base frames get the digest check too. Only a base frame may
+//! create shards, cursor positions (`0..n`, in order), audiences, and
+//! extension logs; a delta naming one the state lacks fails.
 //!
 //! Chain discipline: a chain starts at a full frame; each delta names its
 //! parent by tick count ([`DeltaFrame::parent_ticks`]) and echoes the run
@@ -36,8 +44,7 @@
 //! byte-identical to the full checkpoint the engine would have taken at
 //! frame `n`.
 //!
-//! Frames share the full checkpoint's TRCK framing and round-trip
-//! canonically:
+//! Frames round-trip canonically:
 //!
 //! ```
 //! use treads_resilience::delta::{CheckpointFrame, DeltaFrame};
@@ -64,13 +71,13 @@ use adplatform::profile::ProfileFacets;
 use adplatform::reporting::Impression;
 use adplatform::Platform;
 use adsim_types::hash::mix64;
-use adsim_types::{AccountId, AdId, AudienceId, CampaignId, SimTime, UserId};
+use adsim_types::{AccountId, AdId, AudienceId, CampaignId, Money, SimTime, UserId};
 use websim::extension::ObservedAd;
 
 use crate::checkpoint::{
-    decode_full_body, decode_observed, decode_profile_facets, encode_observed,
-    encode_profile_facets, ConfigEcho, EngineCheckpoint, ReportCounters, ShardCheckpoint,
-    UserCursor, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FRAME_DELTA, FRAME_FULL,
+    decode_observed, decode_profile_facets, encode_observed, encode_profile_facets, ConfigEcho,
+    EngineCheckpoint, ExtensionSnapshot, ReportCounters, ShardCheckpoint, UserCursor,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FRAME_DELTA, FRAME_FULL,
 };
 use crate::codec::{DecodeError, Reader, Writer};
 use crate::fault::{FaultReport, LostWork};
@@ -206,8 +213,8 @@ fn hash_observed(shard: u64, user: UserId, index: u64, o: &ObservedAd) -> u64 {
 /// Covers exactly the sections a [`DeltaFrame`] carries incrementally
 /// (keyed maps and append-only journals); scalars carried whole by every
 /// frame are excluded. [`DeltaTracker`] maintains the same quantity
-/// incrementally, and [`fold_frames`] recomputes it after each applied
-/// delta to verify the dirty bookkeeping missed nothing.
+/// incrementally, and decoding a base frame or folding a delta
+/// recomputes it after applying the frame to verify nothing was missed.
 pub fn state_digest(cp: &EngineCheckpoint) -> u64 {
     let mut d = 0u64;
     let p = &cp.platform;
@@ -393,20 +400,14 @@ impl CheckpointFrame {
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
             CheckpointFrame::Full(cp) => cp.to_bytes(),
-            CheckpointFrame::Delta(d) => {
-                let mut w = Writer::new();
-                w.put_bytes(&CHECKPOINT_MAGIC);
-                w.put_u32(CHECKPOINT_VERSION);
-                w.put_u8(FRAME_DELTA);
-                encode_delta_body(&mut w, d);
-                w.into_bytes()
-            }
+            CheckpointFrame::Delta(d) => encode_frame(FRAME_DELTA, d),
         }
     }
 
-    /// Deserializes either frame kind, with the same strictness as
-    /// [`EngineCheckpoint::from_bytes`] (bad magic, unknown version,
-    /// truncation, and trailing bytes all rejected).
+    /// Deserializes either frame kind, rejecting bad magic, unknown
+    /// versions, unknown frame kinds, truncation, and trailing bytes. A
+    /// full frame is then rebuilt by applying its body to the empty
+    /// state, so every check the fold makes, digest included, applies.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         if r.get_bytes()? != CHECKPOINT_MAGIC {
@@ -416,21 +417,87 @@ impl CheckpointFrame {
         if version != CHECKPOINT_VERSION {
             return Err(DecodeError::UnsupportedVersion(version));
         }
-        let frame = match r.get_u8()? {
-            FRAME_FULL => CheckpointFrame::Full(decode_full_body(&mut r)?),
-            FRAME_DELTA => CheckpointFrame::Delta(decode_delta_body(&mut r)?),
-            _ => return Err(DecodeError::Invalid("frame kind byte")),
-        };
+        let kind = r.get_u8()?;
+        if kind != FRAME_FULL && kind != FRAME_DELTA {
+            return Err(DecodeError::Invalid("frame kind byte"));
+        }
+        let body = decode_body(&mut r)?;
         r.finish()?;
-        Ok(frame)
+        if kind == FRAME_DELTA {
+            return Ok(CheckpointFrame::Delta(body));
+        }
+        let mut cp = EngineCheckpoint::default();
+        apply(&mut cp, body, true)?;
+        Ok(CheckpointFrame::Full(cp))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Delta frame codec
+// The frame codec
 // ---------------------------------------------------------------------------
 
-fn encode_delta_body(w: &mut Writer, d: &DeltaFrame) {
+/// The frame that takes the empty state to `cp`: every keyed slot an
+/// upsert, every journal appended at base 0, every audience and
+/// extension log listed (empty ones too), and `cp`'s [`state_digest`].
+pub(crate) fn genesis(cp: &EngineCheckpoint) -> DeltaFrame {
+    let p = &cp.platform;
+    let b = &p.billing;
+    DeltaFrame {
+        config: cp.config.clone(),
+        parent_ticks: 0,
+        next_tick_start: cp.next_tick_start,
+        report: cp.report,
+        exhausted: cp.exhausted.clone(),
+        faults: cp.faults.clone(),
+        clock_now: p.clock_now.0,
+        stats: p.stats,
+        small_spend_waiver_micros: b.small_spend_waiver.as_micros(),
+        impressions_charged: b.impressions_charged,
+        charged_micros: b.charged_micros,
+        billing_accounts: micros(&b.account_spend),
+        billing_campaigns: micros(&b.campaign_spend),
+        billing_ads: micros(&b.ad_spend),
+        billing_links: b.campaign_account.clone(),
+        freq: p.freq.clone(),
+        impressions_base: 0,
+        impressions_suffix: p.impressions.clone(),
+        pixel_base: 0,
+        pixel_suffix: p.pixel_events.clone(),
+        audience_adds: p.audience_members.clone(),
+        facet_updates: p.facets.facet_updates,
+        symbols_base: 0,
+        symbols_suffix: p.facets.symbols.clone(),
+        facets: p.facets.users.clone(),
+        shards: cp
+            .shards
+            .iter()
+            .map(|s| ShardDelta {
+                index: s.index,
+                users: (0u32..).zip(s.users.iter().cloned()).collect(),
+                freq: s.freq.clone(),
+                ext: s
+                    .extensions
+                    .iter()
+                    .map(|e| (e.user, 0, e.observations.clone()))
+                    .collect(),
+            })
+            .collect(),
+        ledger: cp.ledger.clone(),
+        digest: state_digest(cp),
+    }
+}
+
+/// Frames `body` as a TRCK frame of `kind`.
+pub(crate) fn encode_frame(kind: u8, body: &DeltaFrame) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(&CHECKPOINT_MAGIC);
+    w.put_u32(CHECKPOINT_VERSION);
+    w.put_u8(kind);
+    encode_body(&mut w, body);
+    w.into_bytes()
+}
+
+fn encode_body(w: &mut Writer, d: &DeltaFrame) {
     w.put_u64(d.config.shards);
     w.put_u64(d.config.seed);
     w.put_u64(d.config.tick_ms);
@@ -586,7 +653,7 @@ fn encode_delta_body(w: &mut Writer, d: &DeltaFrame) {
     w.put_u64(d.digest);
 }
 
-fn decode_delta_body(r: &mut Reader<'_>) -> Result<DeltaFrame, DecodeError> {
+fn decode_body(r: &mut Reader<'_>) -> Result<DeltaFrame, DecodeError> {
     let config = ConfigEcho {
         shards: r.get_u64()?,
         seed: r.get_u64()?,
@@ -676,7 +743,7 @@ fn decode_delta_body(r: &mut Reader<'_>) -> Result<DeltaFrame, DecodeError> {
                 account: AccountId(r.get_u64()?),
                 user: UserId(r.get_u64()?),
                 at: SimTime(r.get_u64()?),
-                price: adsim_types::Money::micros(r.get_i64()?),
+                price: Money::micros(r.get_i64()?),
                 spec_digest: r.get_u64()?,
             })
         })
@@ -823,18 +890,92 @@ fn decode_delta_body(r: &mut Reader<'_>) -> Result<DeltaFrame, DecodeError> {
 // Folding
 // ---------------------------------------------------------------------------
 
-fn upsert<K: Ord + Copy, V>(vec: &mut Vec<(K, V)>, key: K, value: V) {
-    match vec.binary_search_by_key(&key, |(k, _)| *k) {
-        Ok(i) => vec[i].1 = value,
-        Err(i) => vec.insert(i, (key, value)),
+/// Fails unless `entries` are strictly increasing by `key`.
+fn check_increasing<T, K: Ord>(entries: &[T], key: impl Fn(&T) -> K) -> Result<(), DecodeError> {
+    if entries.windows(2).any(|w| key(&w[0]) >= key(&w[1])) {
+        return Err(DecodeError::Invalid("upserts not strictly increasing"));
     }
+    Ok(())
 }
 
-/// Applies one delta frame to a full checkpoint, verifying the chain
-/// discipline (config echo, parent tick, journal base lengths) and the
-/// post-frame [`state_digest`].
-fn apply_delta(cur: &mut EngineCheckpoint, d: &DeltaFrame) -> Result<(), DecodeError> {
-    if d.config != cur.config {
+/// Merges `upserts`, strictly increasing by `key`, into the key-sorted
+/// `map` in one linear pass. An upsert replaces the entry with an equal
+/// key, unless `equal_key_error` names the error an equal key is.
+fn merge_upserts<T, K: Ord>(
+    map: &mut Vec<T>,
+    upserts: Vec<T>,
+    key: impl Fn(&T) -> K,
+    equal_key_error: Option<&'static str>,
+) -> Result<(), DecodeError> {
+    check_increasing(&upserts, &key)?;
+    if map.is_empty() {
+        *map = upserts;
+        return Ok(());
+    }
+    let mut merged = Vec::with_capacity(map.len() + upserts.len());
+    let mut old = std::mem::take(map).into_iter().peekable();
+    for entry in upserts {
+        let k = key(&entry);
+        while let Some(kept) = old.next_if(|e| key(e) < k) {
+            merged.push(kept);
+        }
+        if old.next_if(|e| key(e) == k).is_some() {
+            if let Some(what) = equal_key_error {
+                return Err(DecodeError::Invalid(what));
+            }
+        }
+        merged.push(entry);
+    }
+    merged.extend(old);
+    *map = merged;
+    Ok(())
+}
+
+/// [`merge_upserts`] for a map of `(key, value)` pairs: an upsert
+/// replaces the value at an equal key.
+fn upsert<K: Ord + Copy, V>(
+    map: &mut Vec<(K, V)>,
+    upserts: Vec<(K, V)>,
+) -> Result<(), DecodeError> {
+    merge_upserts(map, upserts, |e| e.0, None)
+}
+
+/// Billing spend as frames carry it, in micros.
+fn micros<K: Copy>(spend: &[(K, Money)]) -> Vec<(K, i64)> {
+    spend.iter().map(|(k, m)| (*k, m.as_micros())).collect()
+}
+
+/// Spend upserts carried in micros, as the billing ledger's [`Money`].
+fn money<K>(upserts: Vec<(K, i64)>) -> Vec<(K, Money)> {
+    upserts
+        .into_iter()
+        .map(|(k, m)| (k, Money::micros(m)))
+        .collect()
+}
+
+/// Appends a journal suffix that must start at exactly `log`'s length.
+fn append<T>(
+    log: &mut Vec<T>,
+    base: u64,
+    suffix: Vec<T>,
+    mismatch: &'static str,
+) -> Result<(), DecodeError> {
+    if base != log.len() as u64 {
+        return Err(DecodeError::Invalid(mismatch));
+    }
+    log.extend(suffix);
+    Ok(())
+}
+
+/// Applies one frame body to `cur` and verifies the post-frame
+/// [`state_digest`]. A `base` frame applies to the empty state and may
+/// create shards, cursors, audiences, and extension logs; a delta applies
+/// to the state its parent frame folded up to, must echo its config, and
+/// may only update what exists.
+fn apply(cur: &mut EngineCheckpoint, d: DeltaFrame, base: bool) -> Result<(), DecodeError> {
+    if base {
+        cur.config = d.config;
+    } else if d.config != cur.config {
         return Err(DecodeError::Invalid("delta config mismatch"));
     }
     if d.parent_ticks != cur.report.ticks {
@@ -842,100 +983,118 @@ fn apply_delta(cur: &mut EngineCheckpoint, d: &DeltaFrame) -> Result<(), DecodeE
     }
     cur.next_tick_start = d.next_tick_start;
     cur.report = d.report;
-    cur.exhausted = d.exhausted.clone();
-    cur.faults = d.faults.clone();
-    cur.ledger = d.ledger.clone();
+    cur.exhausted = d.exhausted;
+    cur.faults = d.faults;
+    cur.ledger = d.ledger;
 
     let p = &mut cur.platform;
     p.clock_now = SimTime(d.clock_now);
     p.stats = d.stats;
-    p.billing.small_spend_waiver = adsim_types::Money::micros(d.small_spend_waiver_micros);
-    p.billing.impressions_charged = d.impressions_charged;
-    p.billing.charged_micros = d.charged_micros;
-    for (id, m) in &d.billing_accounts {
-        upsert(
-            &mut p.billing.account_spend,
-            *id,
-            adsim_types::Money::micros(*m),
-        );
-    }
-    for (id, m) in &d.billing_campaigns {
-        upsert(
-            &mut p.billing.campaign_spend,
-            *id,
-            adsim_types::Money::micros(*m),
-        );
-    }
-    for (id, m) in &d.billing_ads {
-        upsert(&mut p.billing.ad_spend, *id, adsim_types::Money::micros(*m));
-    }
-    for (c, a) in &d.billing_links {
-        upsert(&mut p.billing.campaign_account, *c, *a);
-    }
-    for ((ad, user), count) in &d.freq {
-        upsert(&mut p.freq, (*ad, *user), *count);
-    }
+    let b = &mut p.billing;
+    b.small_spend_waiver = Money::micros(d.small_spend_waiver_micros);
+    b.impressions_charged = d.impressions_charged;
+    b.charged_micros = d.charged_micros;
+    upsert(&mut b.account_spend, money(d.billing_accounts))?;
+    upsert(&mut b.campaign_spend, money(d.billing_campaigns))?;
+    upsert(&mut b.ad_spend, money(d.billing_ads))?;
+    upsert(&mut b.campaign_account, d.billing_links)?;
+    upsert(&mut p.freq, d.freq)?;
 
-    if d.impressions_base != p.impressions.len() as u64 {
-        return Err(DecodeError::Invalid("impression log base mismatch"));
-    }
-    p.impressions.extend(d.impressions_suffix.iter().cloned());
-    if d.pixel_base != p.pixel_events.len() as u64 {
-        return Err(DecodeError::Invalid("pixel log base mismatch"));
-    }
-    p.pixel_events.extend(d.pixel_suffix.iter().cloned());
+    append(
+        &mut p.impressions,
+        d.impressions_base,
+        d.impressions_suffix,
+        "impression log base mismatch",
+    )?;
+    append(
+        &mut p.pixel_events,
+        d.pixel_base,
+        d.pixel_suffix,
+        "pixel log base mismatch",
+    )?;
 
-    for (aud, adds) in &d.audience_adds {
-        let members = match p.audience_members.binary_search_by_key(aud, |(a, _)| *a) {
-            Ok(i) => &mut p.audience_members[i].1,
-            Err(_) => return Err(DecodeError::Invalid("audience add for unknown audience")),
-        };
-        for m in adds {
-            match members.binary_search(m) {
-                Ok(_) => return Err(DecodeError::Invalid("duplicate audience member add")),
-                Err(i) => members.insert(i, *m),
+    check_increasing(&d.audience_adds, |(aud, _)| *aud)?;
+    for (aud, adds) in d.audience_adds {
+        let members = if base {
+            p.audience_members.push((aud, Vec::new()));
+            &mut p.audience_members.last_mut().expect("just pushed").1
+        } else {
+            match p.audience_members.binary_search_by_key(&aud, |(a, _)| *a) {
+                Ok(i) => &mut p.audience_members[i].1,
+                Err(_) => return Err(DecodeError::Invalid("audience add for unknown audience")),
             }
-        }
+        };
+        merge_upserts(members, adds, |u| *u, Some("duplicate audience member add"))?;
     }
 
     p.facets.facet_updates = d.facet_updates;
-    if d.symbols_base != p.facets.symbols.len() as u64 {
-        return Err(DecodeError::Invalid("symbol table base mismatch"));
+    let symbols = &mut p.facets.symbols;
+    if !d.symbols_suffix.is_empty() {
+        let mut seen: BTreeSet<&str> = symbols.iter().map(String::as_str).collect();
+        if !d.symbols_suffix.iter().all(|s| seen.insert(s)) {
+            return Err(DecodeError::Invalid("duplicate symbol-table entry"));
+        }
     }
-    p.facets.symbols.extend(d.symbols_suffix.iter().cloned());
-    for (user, facets) in &d.facets {
-        upsert(&mut p.facets.users, *user, facets.clone());
-    }
+    append(
+        symbols,
+        d.symbols_base,
+        d.symbols_suffix,
+        "symbol table base mismatch",
+    )?;
+    upsert(&mut p.facets.users, d.facets)?;
 
-    for sd in &d.shards {
-        let shard: &mut ShardCheckpoint = cur
-            .shards
-            .iter_mut()
-            .find(|s| s.index == sd.index)
-            .ok_or(DecodeError::Invalid("shard delta for unknown shard"))?;
-        for (pos, c) in &sd.users {
+    check_increasing(&d.shards, |s| s.index)?;
+    for sd in d.shards {
+        let shard = if base {
+            cur.shards.push(ShardCheckpoint {
+                index: sd.index,
+                ..ShardCheckpoint::default()
+            });
+            cur.shards.last_mut().expect("just pushed")
+        } else {
+            cur.shards
+                .iter_mut()
+                .find(|s| s.index == sd.index)
+                .ok_or(DecodeError::Invalid("shard delta for unknown shard"))?
+        };
+        check_increasing(&sd.users, |(pos, _)| *pos)?;
+        for (pos, c) in sd.users {
+            // A base frame lists every cursor, at positions 0..n in order.
+            if base && pos as usize == shard.users.len() {
+                shard.users.push(c);
+                continue;
+            }
             let slot = shard
                 .users
-                .get_mut(*pos as usize)
+                .get_mut(pos as usize)
                 .ok_or(DecodeError::Invalid("cursor position out of range"))?;
             if slot.user != c.user {
                 return Err(DecodeError::Invalid("cursor user mismatch"));
             }
-            *slot = c.clone();
+            *slot = c;
         }
-        for ((ad, user), count) in &sd.freq {
-            upsert(&mut shard.freq, (*ad, *user), *count);
-        }
-        for (user, base, suffix) in &sd.ext {
-            let log = shard
-                .extensions
-                .iter_mut()
-                .find(|e| e.user == *user)
-                .ok_or(DecodeError::Invalid("extension delta for unknown user"))?;
-            if *base != log.observations.len() as u64 {
-                return Err(DecodeError::Invalid("extension log base mismatch"));
-            }
-            log.observations.extend(suffix.iter().cloned());
+        upsert(&mut shard.freq, sd.freq)?;
+        check_increasing(&sd.ext, |(user, _, _)| *user)?;
+        for (user, log_base, suffix) in sd.ext {
+            let log = if base {
+                shard.extensions.push(ExtensionSnapshot {
+                    user,
+                    observations: Vec::new(),
+                });
+                shard.extensions.last_mut().expect("just pushed")
+            } else {
+                shard
+                    .extensions
+                    .iter_mut()
+                    .find(|e| e.user == user)
+                    .ok_or(DecodeError::Invalid("extension delta for unknown user"))?
+            };
+            append(
+                &mut log.observations,
+                log_base,
+                suffix,
+                "extension log base mismatch",
+            )?;
         }
     }
 
@@ -951,8 +1110,10 @@ fn apply_delta(cur: &mut EngineCheckpoint, d: &DeltaFrame) -> Result<(), DecodeE
 ///
 /// Strict by construction: the chain must start with a full frame, every
 /// delta must name its parent's tick count and echo the base
-/// configuration, journal suffixes must append at exactly the length the
-/// folded state has reached, and after each application the folded
+/// configuration, keyed upserts must be strictly increasing, journal
+/// suffixes must append at exactly the length the folded state has
+/// reached, and after each application (the same one that decodes a
+/// base frame) the folded
 /// state's [`state_digest`] must equal the digest the frame recorded —
 /// so a delta whose dirty bookkeeping missed a mutated slot fails here
 /// rather than resuming silently wrong.
@@ -972,7 +1133,7 @@ pub fn fold_frames(frames: &[CheckpointFrame]) -> Result<EngineCheckpoint, Decod
             // A later full frame restarts the chain: everything before it
             // is superseded.
             CheckpointFrame::Full(cp) => cur = cp.clone(),
-            CheckpointFrame::Delta(d) => apply_delta(&mut cur, d)?,
+            CheckpointFrame::Delta(d) => apply(&mut cur, d.clone(), false)?,
         }
     }
     Ok(cur)
@@ -1353,12 +1514,11 @@ impl DeltaTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::ExtensionSnapshot;
     use adplatform::billing::LedgerState;
     use adplatform::delivery::DeliveryStats;
     use adplatform::profile::FacetsState;
     use adplatform::PlatformState;
-    use adsim_types::{Money, PixelId};
+    use adsim_types::PixelId;
     use websim::extension::ObservedAd;
 
     fn base() -> EngineCheckpoint {
@@ -1654,6 +1814,84 @@ mod tests {
         assert_ne!(d1, state_digest(&changed));
     }
 
+    #[test]
+    fn base_frames_fail_the_digest_check_when_a_slot_is_corrupted() {
+        // The impression's fields as the body encodes them, ending in the
+        // price: flipping the price's low bit leaves a well-formed frame
+        // whose state no longer matches the digest it carries.
+        let cp = base();
+        let imp = &cp.platform.impressions[0];
+        let fields = [
+            imp.ad.raw(),
+            imp.campaign.raw(),
+            imp.account.raw(),
+            imp.user.raw(),
+            imp.at.0,
+        ];
+        let mut w = Writer::new();
+        for v in fields {
+            w.put_u64(v);
+        }
+        w.put_i64(imp.price.as_micros());
+        let needle = w.into_bytes();
+        let mut bytes = cp.to_bytes();
+        let at = bytes
+            .windows(needle.len())
+            .position(|win| win == needle.as_slice())
+            .expect("the impression is encoded");
+        bytes[at + needle.len() - 8] ^= 1;
+        assert_eq!(
+            EngineCheckpoint::from_bytes(&bytes).unwrap_err(),
+            DecodeError::Invalid("state digest mismatch")
+        );
+    }
+
+    #[test]
+    fn fold_rejects_repeated_symbols_and_unsorted_upserts() {
+        // Each delta carries the digest of the state a lenient fold would
+        // reach, so only the strictness checks can reject it.
+        let (mut next, mut delta) = advanced();
+        next.platform.facets.symbols.push("Ohio".into());
+        delta.symbols_suffix.push("Ohio".into());
+        delta.digest = state_digest(&next);
+        assert_eq!(
+            fold_frames(&[CheckpointFrame::Full(base()), CheckpointFrame::Delta(delta)])
+                .unwrap_err(),
+            DecodeError::Invalid("duplicate symbol-table entry")
+        );
+
+        let (mut next, mut delta) = advanced();
+        next.platform.freq.push(((AdId(2), UserId(1)), 1));
+        delta.freq.insert(0, ((AdId(2), UserId(1)), 1));
+        delta.digest = state_digest(&next);
+        assert_eq!(
+            fold_frames(&[CheckpointFrame::Full(base()), CheckpointFrame::Delta(delta)])
+                .unwrap_err(),
+            DecodeError::Invalid("upserts not strictly increasing")
+        );
+    }
+
+    /// The richest sample of each frame kind, encoded: the checkpoint
+    /// module's full sample and this module's delta.
+    fn sample_frames() -> [Vec<u8>; 2] {
+        [
+            CheckpointFrame::Full(crate::checkpoint::tests::sample()).to_bytes(),
+            CheckpointFrame::Delta(advanced().1).to_bytes(),
+        ]
+    }
+
+    #[test]
+    fn frame_layout_is_pinned_to_the_version() {
+        // A layout change must bump CHECKPOINT_VERSION: update this pin
+        // only together with the version.
+        let [full, delta] = sample_frames().map(|b| adsim_types::hash::sha256(&b).fingerprint());
+        assert_eq!(
+            (CHECKPOINT_VERSION, full, delta),
+            (5, 0x4239_1537_b667_d730, 0xde29_2e61_4246_b39a),
+            "frame bytes changed: bump CHECKPOINT_VERSION and re-pin"
+        );
+    }
+
     mod strict_decode {
         use super::*;
         use proptest::prelude::*;
@@ -1661,39 +1899,44 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// Every strict truncation of a valid delta frame is a typed
-            /// [`DecodeError`], never a panic.
+            /// Every strict truncation of a valid frame of either kind is
+            /// a typed [`DecodeError`], never a panic: the reader checks
+            /// remaining length before every slice and never trusts an
+            /// embedded count it cannot satisfy.
             #[test]
-            fn delta_truncations_yield_typed_errors(cut in 0usize..1 << 20) {
-                let bytes = CheckpointFrame::Delta(advanced().1).to_bytes();
-                let cut = cut % bytes.len();
-                prop_assert!(
-                    CheckpointFrame::from_bytes(&bytes[..cut]).is_err(),
-                    "a {cut}-byte prefix of a {}-byte frame decoded",
-                    bytes.len()
-                );
+            fn truncations_yield_typed_errors(cut in 0usize..1 << 20) {
+                for bytes in sample_frames() {
+                    let cut = cut % bytes.len();
+                    prop_assert!(
+                        CheckpointFrame::from_bytes(&bytes[..cut]).is_err(),
+                        "a {cut}-byte prefix of a {}-byte frame decoded",
+                        bytes.len()
+                    );
+                }
             }
 
-            /// Any single-bit corruption of a delta frame either fails
-            /// with a typed [`DecodeError`] or decodes to a frame that
-            /// re-encodes to exactly the corrupted bytes — no
-            /// non-canonical acceptance, no panic.
+            /// Any single-bit corruption of a frame of either kind either
+            /// fails with a typed [`DecodeError`] or decodes to a frame
+            /// that re-encodes to exactly the corrupted bytes — the codec
+            /// accepts no second, non-canonical spelling of any state, and
+            /// it never panics.
             #[test]
-            fn delta_bit_flips_never_panic_and_stay_canonical(
+            fn bit_flips_never_panic_and_stay_canonical(
                 pos in 0usize..1 << 20,
                 bit in 0u32..8,
             ) {
-                let mut bytes = CheckpointFrame::Delta(advanced().1).to_bytes();
-                let n = bytes.len();
-                bytes[pos % n] ^= 1 << bit;
-                if let Ok(decoded) = CheckpointFrame::from_bytes(&bytes) {
-                    prop_assert_eq!(
-                        decoded.to_bytes(),
-                        bytes,
-                        "accepted a non-canonical encoding (flipped bit {} of byte {})",
-                        bit,
-                        pos % n
-                    );
+                for mut bytes in sample_frames() {
+                    let n = bytes.len();
+                    bytes[pos % n] ^= 1 << bit;
+                    if let Ok(decoded) = CheckpointFrame::from_bytes(&bytes) {
+                        prop_assert_eq!(
+                            decoded.to_bytes(),
+                            bytes,
+                            "accepted a non-canonical encoding (flipped bit {} of byte {})",
+                            bit,
+                            pos % n
+                        );
+                    }
                 }
             }
         }

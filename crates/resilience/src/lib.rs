@@ -15,18 +15,19 @@
 //! * [`api`] — the [`api::SubmissionApi`] trait over the platform's
 //!   fallible campaign-submission calls, and [`api::FlakyPlatform`],
 //!   which injects a plan's brownouts ahead of the real platform.
-//! * [`codec`] — the hand-rolled canonical binary codec (the vendored
-//!   `serde` is a no-op stub, and a one-valid-form encoding is what makes
-//!   "byte-identical checkpoint" meaningful).
+//! * [`codec`] — the hand-rolled canonical binary codec (a
+//!   one-valid-form encoding is what makes "byte-identical checkpoint"
+//!   meaningful).
 //! * [`checkpoint`] — versioned tick-boundary
 //!   [`checkpoint::EngineCheckpoint`]s: platform state, per-user RNG
 //!   cursors, shard frequency caps, extension logs, and fault accounting,
 //!   round-tripping through [`checkpoint::EngineCheckpoint::to_bytes`] /
 //!   [`checkpoint::EngineCheckpoint::from_bytes`].
-//! * [`delta`] — incremental [`delta::DeltaFrame`]s: TRCK v3 frames that
-//!   encode only the slots mutated since the previous frame, folding back
-//!   to a byte-identical full checkpoint via [`delta::fold_frames`] with
-//!   a per-frame [`delta::state_digest`] integrity check.
+//! * [`delta`] — incremental [`delta::DeltaFrame`]s that encode only the
+//!   slots mutated since the previous frame, folding back to a
+//!   byte-identical full checkpoint via [`delta::fold_frames`] with a
+//!   per-frame [`delta::state_digest`] integrity check. The same body,
+//!   taken from the empty state, is the full checkpoint's encoding.
 //! * [`ledger`] — the hash-chained [`ledger::ReceiptLedger`] of signed
 //!   delivery receipts, its [`fault::DishonestFault`] tampering family,
 //!   and the equivocation auditor ([`ledger::ReceiptLedger::audit`]).
@@ -50,22 +51,27 @@
 //! * **v4** — appends the receipt ledger's committed chain heads to
 //!   full and delta frames, and adds the targeting-spec digest to every
 //!   encoded impression.
+//! * **v5** — one body for both kinds: a full frame is the delta body
+//!   that takes the empty state to the checkpoint (every keyed slot an
+//!   upsert, every journal at base 0), ending in its state digest.
 //!
 //! **Strict decoding, everywhere:** decoders reject bad magic, unknown
 //! versions, unknown frame kinds, truncated input, trailing bytes, and
 //! structurally impossible payloads (duplicate interner symbols, facet
-//! symbols past the table, unsorted visited-ZIP lists, journal suffixes
-//! whose base length does not match). Delta chains additionally carry a
-//! set-homomorphic state digest that [`delta::fold_frames`] re-derives
-//! from the folded state after every applied frame — dirty-set
-//! bookkeeping that misses a mutated slot fails resume loudly instead of
-//! resuming subtly wrong. There is exactly one valid encoding of any
-//! state, so "byte-identical checkpoint" is a meaningful oracle.
+//! symbols past the table, unsorted visited-ZIP lists, upsert lists not
+//! strictly increasing, journal suffixes whose base length does not
+//! match). Every frame carries a set-homomorphic state digest that is
+//! re-derived from the resulting state after the frame is applied — a
+//! base frame when it is decoded, a delta when [`delta::fold_frames`]
+//! folds it — so dirty-set bookkeeping that misses a mutated slot fails
+//! resume loudly instead of resuming subtly wrong. There is exactly one
+//! valid encoding of any state, so "byte-identical checkpoint" is a
+//! meaningful oracle.
 //!
 //! The engine's supervisor (`treads-engine`) consumes the fault plan and
 //! checkpoint types; the provider's retry loop (`treads-core`) consumes
 //! the backoff policy and submission API; the serving front end
-//! (`treads-serving`) journals the same frames from its applier thread.
+//! (`treads-serving`) consumes the fault plan and the receipt ledger.
 //! This crate sits *below* all three in the dependency graph and knows
 //! nothing about them.
 

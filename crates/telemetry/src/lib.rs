@@ -23,8 +23,8 @@
 //! never feeds back into simulation state — it observes, it does not
 //! perturb.
 //!
-//! Snapshots render by hand (the workspace vendors a no-op `serde`
-//! stand-in) as JSON ([`Telemetry::snapshot_json`]) or Prometheus text
+//! Snapshots render by hand, with no serialization dependency, as JSON
+//! ([`Telemetry::snapshot_json`]) or Prometheus text
 //! ([`Telemetry::snapshot_prometheus`]).
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Snapshot rendering: JSON and Prometheus-style text exposition.
 //!
-//! Hand-rolled writers (the workspace's vendored `serde` is a no-op
-//! stand-in), emitting deterministic output: metric names are
+//! Hand-rolled writers with no serialization dependency, emitting
+//! deterministic output: metric names are
 //! `BTreeMap`-ordered and every number is formatted without locale
 //! dependence. The JSON form is what the experiment binaries dump under
 //! `experiments-out/` and what the CI smoke step parses; the Prometheus

@@ -9,11 +9,10 @@
 //! cookie storage with a policy switch, so experiment E4 can measure
 //! linkage with cookies enabled, cleared, and disabled.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Whether the user's browser accepts cookies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CookiePolicy {
     /// Cookies are stored and replayed (the default browser posture).
     Accept,
@@ -22,7 +21,7 @@ pub enum CookiePolicy {
 }
 
 /// One user's cookie jar.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CookieJar {
     /// Acceptance policy.
     pub policy: CookiePolicy,

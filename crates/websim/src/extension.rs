@@ -12,10 +12,9 @@
 
 use adplatform::campaign::AdCreative;
 use adsim_types::{AdId, SimTime, UserId};
-use serde::{Deserialize, Serialize};
 
 /// One ad observation captured by the extension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObservedAd {
     /// The rendered ad's id (visible in ad markup on real platforms).
     pub ad: AdId,
@@ -26,7 +25,7 @@ pub struct ObservedAd {
 }
 
 /// Per-user capture log.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtensionLog {
     /// The user running the extension.
     pub user: Option<UserId>,
@@ -120,7 +119,7 @@ impl ExtensionLog {
 /// Deliberately minimal — the extension sees only what the user's browser
 /// sees, so a claim is comparable exactly on the rendered ad identity and
 /// instant, never on platform-internal receipt fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiptClaim {
     /// The ad the platform says it delivered.
     pub ad: AdId,

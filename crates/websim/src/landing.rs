@@ -14,11 +14,10 @@
 
 use crate::cookies::CookieJar;
 use adsim_types::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A landing page hosted by the transparency provider.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LandingPage {
     /// Full URL (also the lookup key).
     pub url: String,
@@ -29,7 +28,7 @@ pub struct LandingPage {
 }
 
 /// One entry in the provider's access log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VisitRecord {
     /// The URL fetched.
     pub url: String,

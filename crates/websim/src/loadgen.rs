@@ -19,13 +19,12 @@ use crate::session::{BrowsingEvent, SessionConfig, SessionSchedule};
 use adsim_types::rng::substream;
 use adsim_types::{SimTime, SiteId, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 const DAY_MS: u64 = 86_400_000;
 
 /// A burst storm: between `start_ms` and `start_ms + duration_ms` the
 /// offered rate is multiplied by `multiplier`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Burst {
     /// Storm onset, in simulated milliseconds.
     pub start_ms: u64,
@@ -43,7 +42,7 @@ impl Burst {
 }
 
 /// The shape of offered load over simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadProfile {
     /// Mean request rate, in requests per simulated second.
     pub base_rps: f64,
@@ -98,7 +97,7 @@ impl LoadProfile {
 }
 
 /// One offered request: `user` wants a page on `site` at `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// The requesting user.
     pub user: UserId,
@@ -109,7 +108,7 @@ pub struct Arrival {
 }
 
 /// A precomputed, time-sorted stream of offered requests.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArrivalSchedule {
     arrivals: Vec<Arrival>,
 }

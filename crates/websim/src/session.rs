@@ -14,11 +14,10 @@ use adplatform::auction::AuctionOutcome;
 use adplatform::Platform;
 use adsim_types::{SimTime, SiteId, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One browsing event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrowsingEvent {
     /// `user` loads a page on `site` at `at`.
     PageView {
@@ -41,7 +40,7 @@ impl BrowsingEvent {
 }
 
 /// Workload shape for schedule generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
     /// Mean page views per user per simulated day.
     pub views_per_user_per_day: f64,
@@ -59,7 +58,7 @@ impl Default for SessionConfig {
 }
 
 /// Summary of one schedule drive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriveReport {
     /// Page views processed.
     pub page_views: u64,
@@ -72,7 +71,7 @@ pub struct DriveReport {
 }
 
 /// A time-sorted browsing workload.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionSchedule {
     events: Vec<BrowsingEvent>,
 }

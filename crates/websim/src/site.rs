@@ -7,11 +7,10 @@
 //! slots.
 
 use adsim_types::{PixelId, SiteId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A publisher website.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
     /// Registry-assigned id.
     pub id: SiteId,

@@ -21,13 +21,12 @@ use adplatform::Platform;
 use adsim_types::rng::SeedSource;
 use adsim_types::UserId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use treads_broker::coverage::Footprint;
 use treads_broker::{BrokerFeed, CoverageModel};
 
 /// A hand-specified persona (used by the validation scenario for the two
 /// authors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Persona {
     /// Display label.
     pub label: String,
@@ -49,7 +48,7 @@ pub struct Persona {
 }
 
 /// Population generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationConfig {
     /// Number of users to generate.
     pub size: usize,
@@ -73,7 +72,7 @@ impl Default for PopulationConfig {
 }
 
 /// What population generation produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PopulationReport {
     /// The generated users, in creation order.
     pub users: Vec<UserId>,
