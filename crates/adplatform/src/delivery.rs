@@ -18,6 +18,25 @@
 //! The "delivery iff targeting match" property is enforced at step 1 and is
 //! what makes a received Tread a proof about the recipient's own profile —
 //! the integration tests assert it end-to-end.
+//!
+//! Step 1 runs in two stages, and each per-ad filter is written once:
+//!
+//! * **Stage 1, tick-frozen** ([`MatchSet`]): candidate selection, the
+//!   servable check, targeting, the campaign lookup, the suspension check
+//!   and the budget check. It reads nothing that changes while the
+//!   platform is shared as `&Platform` against a frozen budget, and
+//!   yields the user's pre-cap bids plus their census.
+//! * **Stage 2, per slot**: the frequency cap over those bids, then the
+//!   auction.
+//!
+//! The composed entry points ([`eligible_bids_traced_into`],
+//! [`decide_opportunity_traced_with_scratch`] and everything built on
+//! them) run both stages per call. The engine's shard tick instead builds
+//! one match set per user per tick through
+//! [`crate::Platform::match_set_into`] and decides each of that user's
+//! slots from it with [`crate::Platform::decide_slot`]; a serving worker
+//! does the same across the slots of one request. [`candidate_verdicts`]
+//! reports the same per-ad filters per candidate.
 
 use crate::auction::{run_auction_traced, AuctionConfig, AuctionOutcome, AuctionTrace, Bid};
 use crate::audience::AudienceStore;
@@ -201,17 +220,300 @@ pub struct EligibilityBreakdown {
     /// Targeting checks answered by a [`crate::compiled::CompiledSpec`]
     /// program rather than the expression tree. Not a filter bucket (it
     /// overlaps `targeting_mismatch`/`eligible`); zero under
-    /// [`EvalMode::Tree`].
+    /// [`EvalMode::Tree`]. Like every field here it is a census of this
+    /// one opportunity: slots decided from one [`MatchSet`] each report
+    /// the set's count, though the programs ran once for all of them
+    /// (the engine's `targeting.match_sets` counter counts those runs).
     pub compiled_evals: u32,
 }
 
-/// Reusable per-opportunity working memory for the delivery hot path.
+/// Why the filter chain rejected one examined ad: the
+/// [`EligibilityBreakdown`] bucket it lands in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rejection {
+    NotServable,
+    TargetingMismatch,
+    Suspended,
+    OverBudget,
+    FrequencyCapped,
+}
+
+impl Rejection {
+    /// The bucket's [`EligibilityBreakdown`] field name, as reported in
+    /// [`CandidateVerdict::verdict`].
+    fn label(self) -> &'static str {
+        match self {
+            Rejection::NotServable => "not_servable",
+            Rejection::TargetingMismatch => "targeting_mismatch",
+            Rejection::Suspended => "suspended",
+            Rejection::OverBudget => "over_budget",
+            Rejection::FrequencyCapped => "frequency_capped",
+        }
+    }
+
+    /// Counts one rejected ad in its bucket.
+    fn tally(self, breakdown: &mut EligibilityBreakdown) {
+        let bucket = match self {
+            Rejection::NotServable => &mut breakdown.not_servable,
+            Rejection::TargetingMismatch => &mut breakdown.targeting_mismatch,
+            Rejection::Suspended => &mut breakdown.suspended,
+            Rejection::OverBudget => &mut breakdown.over_budget,
+            Rejection::FrequencyCapped => &mut breakdown.frequency_capped,
+        };
+        *bucket += 1;
+    }
+}
+
+/// Stage 1 of the filter chain for one ad: every filter whose inputs a
+/// tick freezes, in filter order. `Ok` is the ad's pre-cap bid. A
+/// targeting check answered by the ad's compiled program counts in
+/// `compiled_evals`; the check dispatches on [`EvalMode`] — compiled
+/// program or tree oracle — which agree on every (user, spec) pair by
+/// construction.
+#[allow(clippy::too_many_arguments)]
+fn frozen_filters<B: BudgetView>(
+    ad: &Ad,
+    user: &UserProfile,
+    campaigns: &CampaignStore,
+    audiences: &AudienceStore,
+    suspended: &BTreeSet<AccountId>,
+    billing: &B,
+    eval: EvalMode,
+    compiled_evals: &mut u32,
+) -> Result<Bid, Rejection> {
+    if !ad.is_servable() {
+        return Err(Rejection::NotServable);
+    }
+    // Targeting runs before the campaign/suspension/budget probes: it
+    // rejects the overwhelming majority of ads, needs nothing but the ad
+    // and the user, and under compiled evaluation costs a handful of
+    // integer compares — so every non-targeted ad skips those lookups.
+    // The surviving filters are order-independent (the bid set is those
+    // passing all of them), only the breakdown's first-failing-filter
+    // attribution shifts.
+    let targeted = match eval {
+        EvalMode::Tree => ad.targeting.matches(user, audiences),
+        EvalMode::Compiled => match campaigns.compiled_matches(ad.id, user, audiences) {
+            Some(hit) => {
+                *compiled_evals += 1;
+                hit
+            }
+            // Every ad created through the store has a program; this arm
+            // only covers hand-assembled test stores.
+            None => ad.targeting.matches(user, audiences),
+        },
+    };
+    if !targeted {
+        return Err(Rejection::TargetingMismatch);
+    }
+    let campaign = campaigns
+        .campaign(ad.campaign)
+        .map_err(|_| Rejection::NotServable)?;
+    if suspended.contains(&campaign.account) {
+        return Err(Rejection::Suspended);
+    }
+    if !billing.within_budget(campaign.id, campaign.budget) {
+        return Err(Rejection::OverBudget);
+    }
+    Ok(Bid {
+        ad: ad.id,
+        cpm: campaign.bid_cpm,
+    })
+}
+
+/// Stage 2 of the filter chain for one ad: the frequency cap, the one
+/// filter whose input moves between a user's slots inside a tick.
+fn cap_filter(bid: Bid, user: UserId, freq: &FrequencyCaps) -> Result<Bid, Rejection> {
+    if freq.allows(bid.ad, user) {
+        Ok(bid)
+    } else {
+        Err(Rejection::FrequencyCapped)
+    }
+}
+
+/// Runs `examine` on every ad the filter chain looks at for `user`, in
+/// ascending ad-id order — the whole store under
+/// [`SelectionMode::LinearScan`], the index's candidates (collected into
+/// `candidates`) under [`SelectionMode::Indexed`] — and returns how many
+/// ads the index pruned.
+fn for_each_examined(
+    user: &UserProfile,
+    campaigns: &CampaignStore,
+    audiences: &AudienceStore,
+    candidates: &mut Vec<AdId>,
+    mut examine: impl FnMut(&Ad),
+) -> u32 {
+    match campaigns.selection_mode() {
+        SelectionMode::LinearScan => {
+            campaigns.ads().for_each(examine);
+            0
+        }
+        SelectionMode::Indexed => {
+            // Candidates come back in ascending ad-id order — the same
+            // order `campaigns.ads()` iterates — and are a superset of
+            // the targeting-matching ads, so the surviving bid vector is
+            // identical to the linear scan's.
+            campaigns
+                .index()
+                .candidates_into(user, audiences, candidates);
+            for id in candidates.iter() {
+                examine(campaigns.ad(*id).expect("indexed ads exist in the store"));
+            }
+            (campaigns.ad_count() - candidates.len()) as u32
+        }
+    }
+}
+
+/// One user's pass through stage 1 of the eligibility chain: the ads
+/// that survive every filter except the frequency cap, as pre-cap bids,
+/// plus the census of where the rest were filtered out.
 ///
-/// One opportunity needs two growable buffers: the index's candidate
-/// list and the surviving bid list. Allocating them per auction made the
-/// allocator a measurable slice of the auction phase; instead each
-/// engine shard owns one `DeliveryScratch` and threads it through
-/// [`decide_opportunity_traced_with_scratch`], so after the first few
+/// Candidate selection, the servable check, targeting evaluation, the
+/// campaign lookup, the suspension check and the budget check read only
+/// the profile, the audience and campaign stores, the suspension set
+/// and a [`BudgetView`]. None of them can change while a caller holds
+/// the platform as `&Platform` against a frozen
+/// [`crate::billing::BudgetSnapshot`] — an engine tick, or one serving
+/// request — so one match set built at the user's first opportunity
+/// serves all of their later slots: [`crate::Platform::decide_slot`]
+/// applies only the frequency cap, the one input that moves, and runs
+/// the auction.
+///
+/// Reusable working memory, like [`DeliveryScratch`]: every build
+/// clears it first, so its buffers stop growing after the first few
+/// builds.
+#[derive(Debug, Clone)]
+pub struct MatchSet {
+    /// The user the set was built for.
+    user: UserId,
+    /// Candidate ad ids from the index (unused under linear scan).
+    candidates: Vec<AdId>,
+    /// Bids of the ads that passed every stage-1 filter, ascending ad id.
+    bids: Vec<Bid>,
+    /// Census of the stage-1 filters. Its `frequency_capped` and
+    /// `eligible` stay zero: stage 2 fills them per slot.
+    census: EligibilityBreakdown,
+}
+
+impl Default for MatchSet {
+    fn default() -> Self {
+        Self {
+            user: UserId(0),
+            candidates: Vec::new(),
+            bids: Vec::new(),
+            census: EligibilityBreakdown::default(),
+        }
+    }
+}
+
+/// Stage 1: rebuilds `set` for `user` (see [`MatchSet`]).
+pub(crate) fn match_set_into<B: BudgetView>(
+    user: &UserProfile,
+    campaigns: &CampaignStore,
+    audiences: &AudienceStore,
+    suspended: &BTreeSet<AccountId>,
+    billing: &B,
+    set: &mut MatchSet,
+) {
+    let MatchSet {
+        user: owner,
+        candidates,
+        bids,
+        census,
+    } = set;
+    *owner = user.id;
+    bids.clear();
+    *census = EligibilityBreakdown::default();
+    let eval = campaigns.eval_mode();
+    let index_pruned = for_each_examined(user, campaigns, audiences, candidates, |ad| {
+        census.considered += 1;
+        let filtered = frozen_filters(
+            ad,
+            user,
+            campaigns,
+            audiences,
+            suspended,
+            billing,
+            eval,
+            &mut census.compiled_evals,
+        );
+        match filtered {
+            Ok(bid) => bids.push(bid),
+            Err(rejection) => rejection.tally(census),
+        }
+    });
+    census.index_pruned = index_pruned;
+}
+
+/// Stage 2's filter: copies the pre-cap bids the frequency cap still
+/// allows into `bids` (cleared first) and returns the slot's census —
+/// the set's stage-1 buckets plus this slot's `frequency_capped` and
+/// `eligible`.
+fn cap_into(set: &MatchSet, freq: &FrequencyCaps, bids: &mut Vec<Bid>) -> EligibilityBreakdown {
+    bids.clear();
+    let mut breakdown = set.census;
+    for &bid in &set.bids {
+        match cap_filter(bid, set.user, freq) {
+            Ok(bid) => {
+                breakdown.eligible += 1;
+                bids.push(bid);
+            }
+            Err(rejection) => rejection.tally(&mut breakdown),
+        }
+    }
+    breakdown
+}
+
+/// Stage 2: decides one slot shown at `at` to `set`'s user — the
+/// frequency cap over the pre-cap bids, then the auction. On a win the
+/// decision carries the fully-resolved [`PendingImpression`]. The
+/// surviving bids go to `bids` (cleared first).
+pub(crate) fn decide_slot<R: Rng>(
+    set: &MatchSet,
+    at: SimTime,
+    campaigns: &CampaignStore,
+    freq: &FrequencyCaps,
+    auction_cfg: &AuctionConfig,
+    rng: &mut R,
+    bids: &mut Vec<Bid>,
+) -> TracedDecision {
+    let breakdown = cap_into(set, freq, bids);
+    let (outcome, auction) = run_auction_traced(bids, auction_cfg, rng);
+    let pending = match outcome {
+        AuctionOutcome::Won { ad, clearing_cpm } => {
+            // The ad and campaign must exist: they produced a bid above.
+            let campaign = campaigns
+                .ad(ad)
+                .and_then(|a| campaigns.campaign(a.campaign))
+                .expect("winning ad resolves");
+            Some(PendingImpression {
+                ad,
+                campaign: campaign.id,
+                account: campaign.account,
+                user: set.user,
+                at,
+                clearing_cpm,
+                spec_digest: campaigns.spec_digest(ad).unwrap_or(0),
+            })
+        }
+        AuctionOutcome::LostToBackground | AuctionOutcome::Unfilled => None,
+    };
+    TracedDecision {
+        decision: Decision { outcome, pending },
+        breakdown,
+        auction,
+    }
+}
+
+/// Reusable per-opportunity working memory for the composed decide path.
+///
+/// One opportunity needs a stage-1 [`MatchSet`] (the index's candidate
+/// list and the pre-cap bids) and the bid list the frequency cap lets
+/// through. Allocating them per auction made the allocator a measurable
+/// slice of the auction phase; instead each caller owns one
+/// `DeliveryScratch` and threads it through
+/// [`decide_opportunity_traced_with_scratch`] or
+/// [`crate::Platform::decide_slot`], so after the first few
 /// opportunities the buffers reach their high-water capacity and the
 /// steady state allocates nothing. (Compiled targeting evaluation needs
 /// no buffer at all — a [`crate::compiled::CompiledSpec`] runs on a
@@ -221,10 +523,11 @@ pub struct EligibilityBreakdown {
 /// filling — so a fresh scratch always produces identical results.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryScratch {
-    /// Candidate ad ids from the index (or unused under linear scan).
-    candidates: Vec<AdId>,
-    /// Bids that survived the eligibility filter chain.
-    bids: Vec<Bid>,
+    /// The composed paths' stage-1 result.
+    matched: MatchSet,
+    /// Bids that survived the whole filter chain: one slot's auction
+    /// input.
+    pub(crate) bids: Vec<Bid>,
 }
 
 impl DeliveryScratch {
@@ -278,9 +581,9 @@ pub fn eligible_bids_traced<B: BudgetView>(
     (scratch.bids, breakdown)
 }
 
-/// The allocation-free form of [`eligible_bids_traced`]: fills
-/// `scratch.bids` (cleared first) instead of returning a fresh vector
-/// and reuses `scratch.candidates` for the index probe.
+/// The allocation-free form of [`eligible_bids_traced`]: both stages of
+/// the filter chain in one call, filling `scratch.bids` (cleared first)
+/// instead of returning a fresh vector.
 #[allow(clippy::too_many_arguments)]
 pub fn eligible_bids_traced_into<B: BudgetView>(
     user: &UserProfile,
@@ -291,126 +594,9 @@ pub fn eligible_bids_traced_into<B: BudgetView>(
     freq: &FrequencyCaps,
     scratch: &mut DeliveryScratch,
 ) -> EligibilityBreakdown {
-    let DeliveryScratch { candidates, bids } = scratch;
-    bids.clear();
-    let mut breakdown = EligibilityBreakdown::default();
-    let eval = campaigns.eval_mode();
-    match campaigns.selection_mode() {
-        SelectionMode::LinearScan => {
-            for ad in campaigns.ads() {
-                consider_ad(
-                    ad,
-                    user,
-                    campaigns,
-                    audiences,
-                    suspended,
-                    billing,
-                    freq,
-                    eval,
-                    bids,
-                    &mut breakdown,
-                );
-            }
-        }
-        SelectionMode::Indexed => {
-            // Candidates come back in ascending ad-id order — the same
-            // order `campaigns.ads()` iterates — and are a superset of
-            // the targeting-matching ads, so the surviving bid vector is
-            // identical to the linear scan's.
-            campaigns
-                .index()
-                .candidates_into(user, audiences, candidates);
-            breakdown.index_pruned = (campaigns.ad_count() - candidates.len()) as u32;
-            for id in candidates.iter() {
-                let ad = campaigns.ad(*id).expect("indexed ads exist in the store");
-                consider_ad(
-                    ad,
-                    user,
-                    campaigns,
-                    audiences,
-                    suspended,
-                    billing,
-                    freq,
-                    eval,
-                    bids,
-                    &mut breakdown,
-                );
-            }
-        }
-    }
-    breakdown
-}
-
-/// Runs one ad through the eligibility filter chain, pushing a bid if it
-/// survives and bucketing it in the breakdown either way. Shared by both
-/// selection modes so they can never disagree on filter semantics; the
-/// targeting check dispatches on [`EvalMode`] — compiled program or tree
-/// oracle — which agree on every (user, spec) pair by construction.
-#[allow(clippy::too_many_arguments)]
-fn consider_ad<B: BudgetView>(
-    ad: &Ad,
-    user: &UserProfile,
-    campaigns: &CampaignStore,
-    audiences: &AudienceStore,
-    suspended: &BTreeSet<AccountId>,
-    billing: &B,
-    freq: &FrequencyCaps,
-    eval: EvalMode,
-    bids: &mut Vec<Bid>,
-    breakdown: &mut EligibilityBreakdown,
-) {
-    breakdown.considered += 1;
-    if !ad.is_servable() {
-        breakdown.not_servable += 1;
-        return;
-    }
-    // Targeting runs before the campaign/budget/frequency probes: it
-    // rejects the overwhelming majority of ads, needs nothing but the ad
-    // and the user, and under compiled evaluation costs a handful of
-    // integer compares — so every non-targeted ad skips three map
-    // lookups. The surviving filters are order-independent (the bid set
-    // is those passing all of them), only the breakdown's
-    // first-failing-filter attribution shifts.
-    let targeted = match eval {
-        EvalMode::Tree => ad.targeting.matches(user, audiences),
-        EvalMode::Compiled => match campaigns.compiled_matches(ad.id, user, audiences) {
-            Some(hit) => {
-                breakdown.compiled_evals += 1;
-                hit
-            }
-            // Every ad created through the store has a program; this arm
-            // only covers hand-assembled test stores.
-            None => ad.targeting.matches(user, audiences),
-        },
-    };
-    if !targeted {
-        breakdown.targeting_mismatch += 1;
-        return;
-    }
-    let campaign = match campaigns.campaign(ad.campaign) {
-        Ok(c) => c,
-        Err(_) => {
-            breakdown.not_servable += 1;
-            return;
-        }
-    };
-    if suspended.contains(&campaign.account) {
-        breakdown.suspended += 1;
-        return;
-    }
-    if !billing.within_budget(campaign.id, campaign.budget) {
-        breakdown.over_budget += 1;
-        return;
-    }
-    if !freq.allows(ad.id, user.id) {
-        breakdown.frequency_capped += 1;
-        return;
-    }
-    breakdown.eligible += 1;
-    bids.push(Bid {
-        ad: ad.id,
-        cpm: campaign.bid_cpm,
-    });
+    let DeliveryScratch { matched, bids } = scratch;
+    match_set_into(user, campaigns, audiences, suspended, billing, matched);
+    cap_into(matched, freq, bids)
 }
 
 /// The filter chain's verdict for one examined ad — the per-candidate
@@ -429,63 +615,13 @@ pub struct CandidateVerdict {
     pub bid_cpm: Money,
 }
 
-/// Mirror of [`consider_ad`]'s filter chain that reports *which* bucket an
-/// ad lands in instead of counting it. The two must stay in lockstep —
-/// the census-agreement test pins them together.
-#[allow(clippy::too_many_arguments)]
-fn verdict_for<B: BudgetView>(
-    ad: &Ad,
-    user: &UserProfile,
-    campaigns: &CampaignStore,
-    audiences: &AudienceStore,
-    suspended: &BTreeSet<AccountId>,
-    billing: &B,
-    freq: &FrequencyCaps,
-    eval: EvalMode,
-) -> CandidateVerdict {
-    let reject = |verdict| CandidateVerdict {
-        ad: ad.id,
-        verdict,
-        bid_cpm: Money::ZERO,
-    };
-    if !ad.is_servable() {
-        return reject("not_servable");
-    }
-    let targeted = match eval {
-        EvalMode::Tree => ad.targeting.matches(user, audiences),
-        EvalMode::Compiled => campaigns
-            .compiled_matches(ad.id, user, audiences)
-            .unwrap_or_else(|| ad.targeting.matches(user, audiences)),
-    };
-    if !targeted {
-        return reject("targeting_mismatch");
-    }
-    let campaign = match campaigns.campaign(ad.campaign) {
-        Ok(c) => c,
-        Err(_) => return reject("not_servable"),
-    };
-    if suspended.contains(&campaign.account) {
-        return reject("suspended");
-    }
-    if !billing.within_budget(campaign.id, campaign.budget) {
-        return reject("over_budget");
-    }
-    if !freq.allows(ad.id, user.id) {
-        return reject("frequency_capped");
-    }
-    CandidateVerdict {
-        ad: ad.id,
-        verdict: "eligible",
-        bid_cpm: campaign.bid_cpm,
-    }
-}
-
 /// Re-derives the per-ad filter verdicts for one opportunity: the same
-/// examined set (index candidates or full scan), the same filter order,
-/// the same budget view as [`eligible_bids_traced_into`], but reported
-/// per candidate in ascending ad-id order. RNG-free and read-only, so
-/// trace builders can call it for sampled requests only without
-/// perturbing anything — the decision path never depends on it.
+/// examined set (index candidates or full scan), the same per-ad
+/// filters of both stages, the same budget view as
+/// [`eligible_bids_traced_into`], but reported per candidate in
+/// ascending ad-id order. RNG-free and read-only, so trace builders can
+/// call it for sampled requests only without perturbing anything — the
+/// decision path never depends on it.
 pub fn candidate_verdicts<B: BudgetView>(
     user: &UserProfile,
     campaigns: &CampaignStore,
@@ -495,24 +631,26 @@ pub fn candidate_verdicts<B: BudgetView>(
     freq: &FrequencyCaps,
 ) -> Vec<CandidateVerdict> {
     let eval = campaigns.eval_mode();
-    let examine = |ad: &Ad| {
-        verdict_for(
-            ad, user, campaigns, audiences, suspended, billing, freq, eval,
+    let mut verdicts = Vec::new();
+    for_each_examined(user, campaigns, audiences, &mut Vec::new(), |ad| {
+        let filtered = frozen_filters(
+            ad, user, campaigns, audiences, suspended, billing, eval, &mut 0,
         )
-    };
-    match campaigns.selection_mode() {
-        SelectionMode::LinearScan => campaigns.ads().map(examine).collect(),
-        SelectionMode::Indexed => {
-            let mut candidates = Vec::new();
-            campaigns
-                .index()
-                .candidates_into(user, audiences, &mut candidates);
-            candidates
-                .iter()
-                .map(|id| examine(campaigns.ad(*id).expect("indexed ads exist in the store")))
-                .collect()
-        }
-    }
+        .and_then(|bid| cap_filter(bid, user.id, freq));
+        verdicts.push(match filtered {
+            Ok(bid) => CandidateVerdict {
+                ad: ad.id,
+                verdict: "eligible",
+                bid_cpm: bid.cpm,
+            },
+            Err(rejection) => CandidateVerdict {
+                ad: ad.id,
+                verdict: rejection.label(),
+                bid_cpm: Money::ZERO,
+            },
+        });
+    });
+    verdicts
 }
 
 /// A [`Decision`] together with the telemetry the decide phase produced
@@ -594,8 +732,9 @@ pub fn decide_opportunity_traced<B: BudgetView, R: Rng>(
 
 /// The allocation-free form of [`decide_opportunity_traced`]: all working
 /// memory comes from `scratch`, which the caller keeps across
-/// opportunities. This is the engine shard's entry point — one scratch
-/// per shard makes the steady-state decide phase allocation-free.
+/// opportunities. Runs both stages of the filter chain — a fresh
+/// [`MatchSet`], then the slot's cap and auction — so it suits callers
+/// whose platform or budget may change between opportunities.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_opportunity_traced_with_scratch<B: BudgetView, R: Rng>(
     user: &UserProfile,
@@ -609,34 +748,9 @@ pub fn decide_opportunity_traced_with_scratch<B: BudgetView, R: Rng>(
     rng: &mut R,
     scratch: &mut DeliveryScratch,
 ) -> TracedDecision {
-    let breakdown = eligible_bids_traced_into(
-        user, campaigns, audiences, suspended, billing, freq, scratch,
-    );
-    let (outcome, auction) = run_auction_traced(&scratch.bids, auction_cfg, rng);
-    let pending = match outcome {
-        AuctionOutcome::Won { ad, clearing_cpm } => {
-            // The ad and campaign must exist: they produced a bid above.
-            let campaign = campaigns
-                .ad(ad)
-                .and_then(|a| campaigns.campaign(a.campaign))
-                .expect("winning ad resolves");
-            Some(PendingImpression {
-                ad,
-                campaign: campaign.id,
-                account: campaign.account,
-                user: user.id,
-                at,
-                clearing_cpm,
-                spec_digest: campaigns.spec_digest(ad).unwrap_or(0),
-            })
-        }
-        AuctionOutcome::LostToBackground | AuctionOutcome::Unfilled => None,
-    };
-    TracedDecision {
-        decision: Decision { outcome, pending },
-        breakdown,
-        auction,
-    }
+    let DeliveryScratch { matched, bids } = scratch;
+    match_set_into(user, campaigns, audiences, suspended, billing, matched);
+    decide_slot(matched, at, campaigns, freq, auction_cfg, rng, bids)
 }
 
 /// The **apply** half: charges billing, bumps the frequency counter, and
@@ -1244,5 +1358,187 @@ mod tests {
         assert_eq!(r.stats.opportunities, 3);
         assert_eq!(r.stats.won, 2);
         assert_eq!(r.stats.unfilled, 1);
+    }
+
+    /// Property tests for the two-stage split: one stage-1 match set
+    /// decides a user's slots exactly as fresh full decides would.
+    mod stages {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One random ad: `(account, bid dollars, approved unless 0,
+        /// budget kind, (targeting kind, attribute))`. Budget kind 0 is
+        /// unlimited, 1 a one-impression budget, 2 one already spent.
+        type AdShape = (u64, i64, u8, u8, (u8, u64));
+
+        /// Ads every case starts with, one per census bucket: unapproved,
+        /// suspended account (4), spent budget, unspent one-impression
+        /// budget, unanchored targeting miss (no user holds attribute 6),
+        /// targeting hit (every user holds attribute 1), the ad bumped to
+        /// the cap before the first slot, and a ZIP-anchored miss the
+        /// index prunes. Account 5 is never suspended.
+        const BASE: [AdShape; 8] = [
+            (5, 5, 0, 0, (0, 1)),
+            (4, 5, 1, 0, (0, 1)),
+            (5, 5, 1, 2, (0, 1)),
+            (5, 7, 1, 1, (0, 1)),
+            (5, 9, 1, 0, (2, 6)),
+            (5, 3, 1, 0, (1, 1)),
+            (5, 4, 1, 0, (0, 1)),
+            (5, 6, 1, 0, (5, 1)),
+        ];
+        const CAPPED: usize = 6;
+
+        /// The spec a targeting kind stands for, for a user in Texas:
+        /// kinds 1–3 hit iff the user holds `attr` (kind 2 is unanchored,
+        /// so its misses reach the filter chain under indexed selection
+        /// too), kind 4 iff they lack it, kind 5 never (index-pruned).
+        fn spec_of(kind: u8, attr: u64) -> TargetingSpec {
+            let held = || TargetingExpr::Attr(AttributeId(attr));
+            match kind {
+                0 => TargetingSpec::including(TargetingExpr::Everyone),
+                1 => TargetingSpec::including(held()),
+                2 => TargetingSpec::including(TargetingExpr::Or(vec![
+                    held(),
+                    TargetingExpr::InState("Ohio".into()),
+                ])),
+                3 => TargetingSpec::including(TargetingExpr::And(vec![
+                    held(),
+                    TargetingExpr::InState("Texas".into()),
+                ])),
+                4 => TargetingSpec {
+                    include: TargetingExpr::Everyone,
+                    exclude: Some(held()),
+                },
+                _ => TargetingSpec::including(TargetingExpr::InZip("99999".into())),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn one_match_set_decides_every_slot_like_fresh_decides(
+                extra in prop::collection::vec(
+                    (1u64..4, 1i64..20, 0u8..4, 0u8..3, (0u8..6, 1u64..7)),
+                    0..12,
+                ),
+                attrs in prop::collection::vec(2u64..6, 0..4),
+                suspended in prop::collection::vec(1u64..4, 0..3),
+                bumps in prop::collection::vec(0usize..64, 0..6),
+                indexed in any::<bool>(),
+                compiled in any::<bool>(),
+                slots in 1u64..7,
+                cap in 1u32..4,
+                rate in 0usize..3,
+                seed in 0u64..1_000_000,
+            ) {
+                let mut r = rig();
+                r.freq = FrequencyCaps::new(cap);
+                r.cfg = AuctionConfig {
+                    competitor_rate: [0.0, 0.5, 2.0][rate],
+                    ..AuctionConfig::default()
+                };
+                let user = r.profiles.register(30, Gender::Female, "Texas", "73301");
+                for a in std::iter::once(1).chain(attrs) {
+                    r.profiles.grant_attribute(user, AttributeId(a)).expect("grant");
+                }
+                r.suspended.insert(AccountId(4));
+                r.suspended.extend(suspended.into_iter().map(AccountId));
+                let mut ads = Vec::new();
+                for (account, bid, approved, budget, (kind, attr)) in BASE.into_iter().chain(extra) {
+                    let account = AccountId(account);
+                    let camp = r.campaigns.create_campaign(
+                        account,
+                        "c",
+                        Money::dollars(bid),
+                        (budget > 0).then_some(Money::micros(100)),
+                    );
+                    let ad = r
+                        .campaigns
+                        .create_ad(
+                            camp,
+                            AdCreative::text("h", "b"),
+                            spec_of(kind, attr),
+                            r.profiles.symbols_mut(),
+                        )
+                        .expect("ad");
+                    if approved > 0 {
+                        r.campaigns.ad_mut(ad).expect("ad").status = AdStatus::Approved;
+                    }
+                    if budget == 2 {
+                        // One impression at a 10¢ CPM spends the budget.
+                        r.billing.charge_impression(account, camp, ad, Money::cents(10));
+                    }
+                    ads.push(ad);
+                }
+                for _ in 0..cap {
+                    r.freq.bump(ads[CAPPED], user);
+                }
+                let extras = &ads[BASE.len()..];
+                if !extras.is_empty() {
+                    for i in bumps {
+                        r.freq.bump(extras[i % extras.len()], user);
+                    }
+                }
+                r.campaigns.set_selection_mode(if indexed {
+                    SelectionMode::Indexed
+                } else {
+                    SelectionMode::LinearScan
+                });
+                r.campaigns.set_eval_mode(if compiled { EvalMode::Compiled } else { EvalMode::Tree });
+                let profile = r.profiles.get(user).expect("user");
+
+                let mut set = MatchSet::default();
+                let mut bids = Vec::new();
+                match_set_into(
+                    profile,
+                    &r.campaigns,
+                    &r.audiences,
+                    &r.suspended,
+                    &r.billing,
+                    &mut set,
+                );
+                let mut rng_reused = substream(seed, "two-stage");
+                let mut rng_fresh = substream(seed, "two-stage");
+                for slot in 0..slots {
+                    let at = SimTime(slot);
+                    let reused = decide_slot(
+                        &set,
+                        at,
+                        &r.campaigns,
+                        &r.freq,
+                        &r.cfg,
+                        &mut rng_reused,
+                        &mut bids,
+                    );
+                    let fresh = decide_opportunity_traced(
+                        profile,
+                        at,
+                        &r.campaigns,
+                        &r.audiences,
+                        &r.suspended,
+                        &r.billing,
+                        &r.freq,
+                        &r.cfg,
+                        &mut rng_fresh,
+                    );
+                    prop_assert_eq!(reused, fresh, "slot {}", slot);
+                    prop_assert_eq!(rng_reused.state(), rng_fresh.state());
+                    if slot == 0 {
+                        // The base inventory lands in every bucket.
+                        let b = reused.breakdown;
+                        prop_assert!(b.not_servable > 0 && b.suspended > 0);
+                        prop_assert!(b.over_budget > 0 && b.targeting_mismatch > 0);
+                        prop_assert!(b.frequency_capped > 0 && b.eligible >= 2);
+                        prop_assert_eq!(b.compiled_evals > 0, compiled);
+                        prop_assert_eq!(b.index_pruned > 0, indexed);
+                    }
+                    if let Some(p) = reused.decision.pending {
+                        r.freq.bump(p.ad, p.user);
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,9 +20,9 @@ use crate::billing::{BillingLedger, BudgetView, Invoice};
 use crate::campaign::{AdCreative, AdStatus, CampaignStore};
 use crate::compiled::EvalMode;
 use crate::delivery::{
-    apply_impression, candidate_verdicts, decide_opportunity, decide_opportunity_traced,
+    self, apply_impression, candidate_verdicts, decide_opportunity_traced,
     decide_opportunity_traced_with_scratch, CandidateVerdict, Decision, DeliveryScratch,
-    DeliveryStats, FrequencyCaps, PendingImpression, TracedDecision,
+    DeliveryStats, FrequencyCaps, MatchSet, PendingImpression, TracedDecision,
 };
 use crate::enforcement::{scan_account, EnforcementConfig, SuspicionReport};
 use crate::index::SelectionMode;
@@ -165,6 +165,10 @@ pub struct Platform {
     next_account: u64,
     rng_auction: StdRng,
     rng_enforcement: StdRng,
+    /// Working memory for [`Platform::browse`]'s decides, so the live
+    /// path allocates nothing in steady state. Pure scratch: cleared
+    /// before each use and never part of the platform's state.
+    scratch: DeliveryScratch,
 }
 
 impl Platform {
@@ -208,6 +212,7 @@ impl Platform {
             next_account: 0,
             rng_auction: seeds.rng("platform-auction"),
             rng_enforcement: seeds.rng("platform-enforcement"),
+            scratch: DeliveryScratch::new(),
             config,
         }
     }
@@ -463,16 +468,18 @@ impl Platform {
 
     /// A user generates one impression opportunity (they are browsing and
     /// an ad slot renders). Runs the full auction/delivery path: decide
-    /// against live state, apply immediately.
+    /// against live state, apply immediately. A win charges the live
+    /// ledger at once, so every opportunity runs both stages of the
+    /// eligibility chain afresh.
     pub fn browse(&mut self, user: UserId) -> Result<crate::auction::AuctionOutcome> {
         // Config is the source of truth for the cap; keep the live counter
         // in sync so experiments can adjust it mid-run.
         self.freq.cap = self.config.frequency_cap;
         let at = self.clock.now();
-        let profile = self.profiles.get(user)?.clone();
+        let profile = self.profiles.get(user)?;
         self.stats.opportunities += 1;
-        let decision = decide_opportunity(
-            &profile,
+        let decision = decide_opportunity_traced_with_scratch(
+            profile,
             at,
             &self.campaigns,
             &self.audiences,
@@ -481,7 +488,9 @@ impl Platform {
             &self.freq,
             &self.config.auction,
             &mut self.rng_auction,
-        );
+            &mut self.scratch,
+        )
+        .decision;
         match decision.outcome {
             crate::auction::AuctionOutcome::Won { .. } => {
                 self.stats.won += 1;
@@ -507,7 +516,9 @@ impl Platform {
     /// the caller's budget view, frequency caps, and RNG. Nothing on the
     /// platform is mutated — the engine's shard threads share one
     /// `&Platform` and fold the returned impressions in later via
-    /// [`Platform::apply_impression`].
+    /// [`Platform::apply_impression`]. Each call runs both stages of the
+    /// eligibility chain; the shards split them with
+    /// [`Platform::match_set_into`] and [`Platform::decide_slot`].
     pub fn decide_browse<B: BudgetView, R: rand::Rng>(
         &self,
         user: UserId,
@@ -522,10 +533,9 @@ impl Platform {
     }
 
     /// [`Platform::decide_browse`] with the eligibility breakdown and
-    /// auction trace attached. The engine's instrumented shard loop calls
-    /// this form and forwards the extras to its telemetry; RNG consumption
-    /// is identical to the untraced form, so mixing the two across runs
-    /// never changes simulation results.
+    /// auction trace attached. RNG consumption is identical to the
+    /// untraced form, so mixing the two across runs never changes
+    /// simulation results.
     pub fn decide_browse_traced<B: BudgetView, R: rand::Rng>(
         &self,
         user: UserId,
@@ -551,8 +561,7 @@ impl Platform {
     /// [`Platform::decide_browse_traced`] with caller-owned
     /// [`DeliveryScratch`]: identical results, but all per-opportunity
     /// working memory comes from `scratch`, so a caller that keeps one
-    /// scratch per thread (as the engine's shards do) decides
-    /// opportunities without allocating.
+    /// scratch per thread decides opportunities without allocating.
     pub fn decide_browse_traced_with_scratch<B: BudgetView, R: rand::Rng>(
         &self,
         user: UserId,
@@ -575,6 +584,54 @@ impl Platform {
             rng,
             scratch,
         ))
+    }
+
+    /// Stage 1 of deciding `user`'s opportunities (see [`MatchSet`]):
+    /// candidate selection and every eligibility filter but the
+    /// frequency cap, against `&self` and `budget`, rebuilt into `set`.
+    /// While neither the platform nor `budget` changes — an engine tick
+    /// against its frozen budget snapshot — one build serves every one of
+    /// the user's slots through [`Platform::decide_slot`].
+    pub fn match_set_into<B: BudgetView>(
+        &self,
+        user: UserId,
+        budget: &B,
+        set: &mut MatchSet,
+    ) -> Result<()> {
+        let profile = self.profiles.get(user)?;
+        delivery::match_set_into(
+            profile,
+            &self.campaigns,
+            &self.audiences,
+            &self.suspended,
+            budget,
+            set,
+        );
+        Ok(())
+    }
+
+    /// Stage 2: decides one slot shown at `at` to `set`'s user, applying
+    /// the caller's frequency caps to the set's pre-cap bids and running
+    /// the auction. Against the platform and budget `set` was built from,
+    /// this equals [`Platform::decide_browse_traced_with_scratch`]: the
+    /// same decision, eligibility census, auction trace and RNG draws.
+    pub fn decide_slot<R: rand::Rng>(
+        &self,
+        set: &MatchSet,
+        at: SimTime,
+        freq: &FrequencyCaps,
+        rng: &mut R,
+        scratch: &mut DeliveryScratch,
+    ) -> TracedDecision {
+        delivery::decide_slot(
+            set,
+            at,
+            &self.campaigns,
+            freq,
+            &self.config.auction,
+            rng,
+            &mut scratch.bids,
+        )
     }
 
     /// Re-derives per-candidate filter verdicts for one opportunity —

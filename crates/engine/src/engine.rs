@@ -611,9 +611,11 @@ impl Engine {
         telemetry.count("checkpoint.delta_bytes", 0);
         telemetry.count("checkpoint.dirty_slots", 0);
         // Targeting counters likewise exist at zero in every snapshot:
-        // `compiled_evals` stays zero under `EvalMode::Tree`, and
-        // `facet_updates` settles to its true value at run end.
+        // `compiled_evals` stays zero under `EvalMode::Tree`,
+        // `match_sets` counts stage-1 builds (one per active user per
+        // tick), and `facet_updates` settles to its true value at run end.
         telemetry.count("targeting.compiled_evals", 0);
+        telemetry.count("targeting.match_sets", 0);
         telemetry.count("targeting.facet_updates", 0);
         // Trace counters exist at zero even when no trace is retained.
         telemetry.count("trace.spans", 0);

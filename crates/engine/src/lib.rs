@@ -69,7 +69,7 @@ mod tests {
     use adplatform::{Platform, PlatformConfig};
     use adsim_types::{Money, SimTime, UserId};
     use std::collections::BTreeSet;
-    use websim::{SessionConfig, SiteRegistry};
+    use websim::{SessionConfig, SessionSchedule, SiteRegistry};
 
     /// A small platform: one advertiser, one everyone-targeted campaign
     /// with ample budget, `n` users, two sites (one carrying a pixel).
@@ -155,6 +155,66 @@ mod tests {
         assert!(batch.events.is_sorted_by_key(ShardEvent::key));
         let users_in_order: Vec<UserId> = batch.events.iter().map(ShardEvent::user).collect();
         assert!(!users_in_order.is_sorted(), "the tick interleaves users");
+    }
+
+    #[test]
+    fn shard_tick_builds_one_match_set_per_active_user_per_tick() {
+        let (p, _, users, _camp) = scenario(24);
+        let mut sites = SiteRegistry::new();
+        sites.create("two-slots.example", 2);
+        let session = SessionConfig {
+            views_per_user_per_day: 3.0,
+            days: 1,
+        };
+        let mut shard = ShardState::new(
+            0,
+            &users,
+            &BTreeSet::new(),
+            &sites.ids(),
+            &session,
+            7,
+            1_000,
+        );
+        let probe = TickProbe {
+            record: true,
+            ..TickProbe::off()
+        };
+        // Two ticks split the day at noon: every user has 3 page views,
+        // some of them in each half.
+        let mut active_in_both = 0;
+        let mut starts = vec![0u64; users.len()];
+        for tick_end in [DAY_MS / 2, DAY_MS] {
+            let views: Vec<u64> = users
+                .iter()
+                .zip(&mut starts)
+                .map(|(&u, start)| {
+                    let n = SessionSchedule::generate_day_for_user(u, &sites.ids(), &session, 7, 0)
+                        .iter()
+                        .filter(|e| (*start..tick_end).contains(&e.at().millis()))
+                        .count() as u64;
+                    *start = tick_end;
+                    n
+                })
+                .collect();
+            let page_views: u64 = views.iter().sum();
+            let active = views.iter().filter(|&&n| n > 0).count() as u64;
+            active_in_both += active;
+            let batch = shard.run_tick(
+                &p,
+                &p.billing.budget_snapshot(),
+                &sites,
+                SimTime(tick_end),
+                probe,
+            );
+            assert_eq!(batch.page_views, page_views);
+            assert_eq!(batch.stats.opportunities, 2 * page_views);
+            assert!(active > 0 && page_views > active, "views repeat per user");
+            if cfg!(feature = "telemetry") {
+                assert_eq!(batch.telemetry.counter("targeting.match_sets"), active);
+            }
+        }
+        // A user active before and after noon is matched once per tick.
+        assert!(active_in_both > users.len() as u64);
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //!   and therefore never shared across shards;
 //! * the **extension logs** of its users who run the Treads extension.
 //!
-//! During a tick the shard only *reads* the platform (via
-//! [`Platform::decide_browse`] against a frozen
-//! [`adplatform::billing::BudgetSnapshot`]) and accumulates its
+//! During a tick the shard only *reads* the platform — against a frozen
+//! [`adplatform::billing::BudgetSnapshot`], through
+//! [`Platform::match_set_into`] once per user and
+//! [`Platform::decide_slot`] once per ad slot — and accumulates its
 //! globally-visible effects as a [`ShardBatch`] for the engine to merge.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use adplatform::billing::BudgetView;
-use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps};
+use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet};
 use adplatform::Platform;
 use adsim_types::rng::substream;
 use adsim_types::{SimTime, SiteId, UserId};
@@ -140,6 +141,7 @@ struct TickTally {
     index_candidates: u64,
     index_pruned: u64,
     compiled_evals: u64,
+    match_sets: u64,
 }
 
 /// Everything a shard hands back after one tick.
@@ -205,10 +207,13 @@ pub struct ShardState {
     site_ids: Vec<SiteId>,
     session: SessionConfig,
     seed: u64,
-    /// Reusable per-decide buffers (candidate list, bid list), warm
-    /// across every opportunity this shard ever runs.
-    /// Pure scratch: cleared before use, so it carries no state between
-    /// opportunities and is deliberately absent from checkpoints.
+    /// Stage 1 of the user being decided, rebuilt at each user's first
+    /// opportunity in a tick.
+    /// Pure scratch, like `scratch`: it carries no state between users or
+    /// ticks and is deliberately absent from checkpoints.
+    match_set: MatchSet,
+    /// Reusable per-slot buffers, warm across every opportunity this
+    /// shard ever runs; cleared before use.
     scratch: DeliveryScratch,
 }
 
@@ -252,6 +257,7 @@ impl ShardState {
             site_ids: sites.to_vec(),
             session: *session,
             seed,
+            match_set: MatchSet::default(),
             scratch: DeliveryScratch::new(),
         }
     }
@@ -360,6 +366,12 @@ impl ShardState {
         for (ui, user) in self.users.iter_mut().enumerate() {
             let uid = user.id;
             let mut chain = if record { Some(Instant::now()) } else { None };
+            // Whether `self.match_set` holds this user's stage 1 for this
+            // tick. It is built at the user's first opportunity and serves
+            // every later slot and page view of theirs in the tick: the
+            // platform is `&Platform` and the budget a frozen snapshot, so
+            // only the frequency caps — applied per slot — can move.
+            let mut matched = false;
             loop {
                 if user.buf_pos == user.buf.len() {
                     // Window exhausted: generate the next day on demand if
@@ -427,16 +439,20 @@ impl ShardState {
                 }
                 for slot in 0..u32::from(site.ad_slots_per_view) {
                     batch.stats.opportunities += 1;
-                    let traced = platform
-                        .decide_browse_traced_with_scratch(
-                            uid,
-                            at,
-                            budget,
-                            &self.freq,
-                            &mut user.rng,
-                            &mut self.scratch,
-                        )
-                        .expect("engine users are registered on the platform");
+                    if !matched {
+                        platform
+                            .match_set_into(uid, budget, &mut self.match_set)
+                            .expect("engine users are registered on the platform");
+                        matched = true;
+                        tally.match_sets += 1;
+                    }
+                    let traced = platform.decide_slot(
+                        &self.match_set,
+                        at,
+                        &self.freq,
+                        &mut user.rng,
+                        &mut self.scratch,
+                    );
                     if record {
                         let b = traced.breakdown;
                         eligible_hist.observe(u64::from(b.eligible));
@@ -642,6 +658,7 @@ impl ShardState {
             reg.add("index.candidates", tally.index_candidates);
             reg.add("index.pruned", tally.index_pruned);
             reg.add("targeting.compiled_evals", tally.compiled_evals);
+            reg.add("targeting.match_sets", tally.match_sets);
             reg.merge_histogram("auction.eligible_bids", &eligible_hist);
             reg.merge_histogram("index.candidate_set_size", &candidate_hist);
             reg.observe_ns("phase.auction_ns", auction_ns);

@@ -302,6 +302,7 @@ impl ServingEngine {
         telemetry.count("faults.recovered", 0);
         telemetry.count("faults.unrecoverable", 0);
         telemetry.count("targeting.compiled_evals", 0);
+        telemetry.count("targeting.match_sets", 0);
         telemetry.count("targeting.facet_updates", 0);
         telemetry.count("ledger.receipts", 0);
         // A serving run takes no checkpoints, so heads are never

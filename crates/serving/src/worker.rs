@@ -4,12 +4,13 @@
 //! ([`treads_engine::ShardState`]) owns — its users' auction RNGs and
 //! sequence counters, its frequency-cap counters, its extension logs — and
 //! replicates the per-page-view logic of `ShardState::run_tick` one
-//! request at a time: pixels first (each advancing the user's `seq`), then
-//! one decide per ad slot against the tick's frozen budget snapshot, with
-//! wins bumping the local frequency cap immediately and queueing an
-//! `Impression` event for the tick-close fold. Because the replicated
-//! logic and the owned state are identical, a serving tick's event batch
-//! is byte-identical to the batch engine's for the same opportunities.
+//! request at a time: pixels first (each advancing the user's `seq`),
+//! then one stage-1 match set per request and one decide per ad slot
+//! from it, against the tick's frozen budget snapshot, with wins bumping
+//! the local frequency cap immediately and queueing an `Impression` event
+//! for the tick-close fold. Because the replicated logic and the owned
+//! state are identical, a serving tick's event batch is byte-identical
+//! to the batch engine's for the same opportunities.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use adplatform::auction::AuctionOutcome;
 use adplatform::billing::BudgetSnapshot;
-use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps};
+use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet};
 use adplatform::Platform;
 use adsim_types::rng::substream;
 use adsim_types::{SimTime, UserId};
@@ -71,6 +72,8 @@ pub(crate) struct TickBatch {
     pub events: Vec<ShardEvent>,
     pub stats: DeliveryStats,
     pub page_views: u64,
+    /// Stage-1 match sets built this tick (one per request with slots).
+    pub match_sets: u64,
     /// Requests this worker answered this tick (served + shed).
     pub requests: u64,
     pub shed: u64,
@@ -114,6 +117,7 @@ struct TickAcc {
     events: Vec<ShardEvent>,
     stats: DeliveryStats,
     page_views: u64,
+    match_sets: u64,
     requests: u64,
     shed: u64,
     shed_failure: u64,
@@ -135,6 +139,7 @@ impl TickAcc {
             events: Vec::new(),
             stats: DeliveryStats::default(),
             page_views: 0,
+            match_sets: 0,
             requests: 0,
             shed: 0,
             shed_failure: 0,
@@ -172,6 +177,7 @@ struct BatchSnapshot {
     events_len: usize,
     stats: DeliveryStats,
     page_views: u64,
+    match_sets: u64,
     /// Traces, like events, are truncated back to the snapshot length
     /// when a crash attempt rolls back.
     traces_len: usize,
@@ -232,6 +238,9 @@ struct Worker<'a, 'p> {
     users: BTreeMap<UserId, UserServe>,
     freq: FrequencyCaps,
     extensions: BTreeMap<UserId, ExtensionLog>,
+    /// Stage 1 of the request being served, rebuilt per request: the
+    /// worker interleaves users, so only a request's own slots share it.
+    match_set: MatchSet,
     scratch: DeliveryScratch,
     trace: TraceConfig,
     tick_index: u64,
@@ -276,6 +285,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             users: BTreeMap::new(),
             freq: FrequencyCaps::new(frequency_cap),
             extensions,
+            match_set: MatchSet::default(),
             scratch: DeliveryScratch::new(),
             trace: ctx.trace,
             tick_index: 0,
@@ -525,16 +535,22 @@ impl<'a, 'p> Worker<'a, 'p> {
             let decide_start = trace
                 .is_some()
                 .then(|| env.accepted.elapsed().as_nanos() as u64);
-            let traced = platform
-                .decide_browse_traced_with_scratch(
-                    req.user,
-                    req.at,
-                    self.budget.as_ref(),
-                    &self.freq,
-                    &mut user.rng,
-                    &mut self.scratch,
-                )
-                .expect("user profile was checked above");
+            if slot == 0 {
+                // The read lock holds the platform and the tick's budget
+                // snapshot still, so one stage-1 build serves every slot
+                // of the request.
+                platform
+                    .match_set_into(req.user, self.budget.as_ref(), &mut self.match_set)
+                    .expect("user profile was checked above");
+                self.acc.match_sets += 1;
+            }
+            let traced = platform.decide_slot(
+                &self.match_set,
+                req.at,
+                &self.freq,
+                &mut user.rng,
+                &mut self.scratch,
+            );
             if let Some(t) = trace.as_mut() {
                 let span = t.span("decide_slot", root, req.at);
                 if let Some(start) = decide_start {
@@ -728,6 +744,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             events_len: self.acc.events.len(),
             stats: self.acc.stats,
             page_views: self.acc.page_views,
+            match_sets: self.acc.match_sets,
             traces_len: self.acc.traces.len(),
             trace_keys_len: self.acc.trace_keys.len(),
         }
@@ -740,6 +757,7 @@ impl<'a, 'p> Worker<'a, 'p> {
         self.acc.events.truncate(snapshot.events_len);
         self.acc.stats = snapshot.stats;
         self.acc.page_views = snapshot.page_views;
+        self.acc.match_sets = snapshot.match_sets;
         self.acc.traces.truncate(snapshot.traces_len);
         self.acc.trace_keys.truncate(snapshot.trace_keys_len);
     }
@@ -754,6 +772,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             events: acc.events,
             stats: acc.stats,
             page_views: acc.page_views,
+            match_sets: acc.match_sets,
             requests: acc.requests,
             shed: acc.shed,
             shed_failure: acc.shed_failure,

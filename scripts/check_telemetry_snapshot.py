@@ -45,6 +45,10 @@ ENGINE_COUNTERS = [
     # so their absence means the engine predates the compiled evaluator.
     "targeting.compiled_evals",
     "targeting.facet_updates",
+    # Stage-1 match sets: one per user per tick whose first opportunity
+    # built one. Opportunities (auction.won + .lost_to_background +
+    # .unfilled) over match sets is how often each build is reused.
+    "targeting.match_sets",
     # Resilience accounting: the supervisor always emits these, zero-valued
     # on a fault-free run, so their absence means the run bypassed the
     # supervised path (DESIGN.md "Failure model & recovery").
