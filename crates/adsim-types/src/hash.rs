@@ -9,14 +9,17 @@
 //! against the NIST FIPS 180-4 test vectors in the unit tests.
 //!
 //! The implementation is the straightforward single-block-at-a-time
-//! compression function; it processes a few thousand short strings per
+//! compression function. It hashes PII, targeting-spec digests, codebook
+//! tokens and the labels of RNG substreams derived once per run
+//! ([`crate::rng::substream`]): a few thousand short strings per
 //! experiment, so throughput is irrelevant — correctness and zero
 //! dependencies are the goals.
 //!
-//! Trace ids, delta-frame state digests, delivery-receipt signatures and
-//! the frequency-cap map all hash on hot paths where SHA-256 is far too
-//! slow. They share [`mix64`] and keep their own domain-separation
-//! constants beside their call sites.
+//! Trace ids, delta-frame state digests, delivery-receipt signatures, the
+//! frequency-cap map and the per-user and per-user-day RNG streams
+//! ([`crate::rng::keyed_stream`]) all hash on hot paths where SHA-256 is
+//! far too slow. They share [`mix64`] and keep their own
+//! domain-separation constants beside their call sites.
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2): first 32 bits of the
 /// fractional parts of the cube roots of the first 64 primes.

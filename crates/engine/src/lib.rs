@@ -12,10 +12,11 @@
 //!
 //! Determinism rests on three rules (see DESIGN.md "Engine architecture"):
 //!
-//! 1. **Per-user randomness.** Every user draws sessions from substream
-//!    `session-user-{id}` and auction randomness from
-//!    `engine-user-{id}` of the one master seed — never from a shared
-//!    stream whose interleaving would depend on scheduling.
+//! 1. **Per-user randomness.** Every user draws each day's sessions from
+//!    the stream keyed on `(user, day)` and auction randomness from the
+//!    stream keyed on the user ([`auction_rng`]), both derived from the
+//!    one master seed — never from a shared stream whose interleaving
+//!    would depend on scheduling.
 //! 2. **Bulk-synchronous ticks.** Mutable global state (campaign budgets,
 //!    pixel/visitor audiences) is frozen at tick start; effects produced
 //!    during a tick apply at the tick boundary, so every shard — and every
@@ -47,7 +48,7 @@ pub use engine::{
 };
 pub use event::ShardEvent;
 pub use merge::{merge_batches, merge_batches_lossy, MergeError};
-pub use shard::{CrashPoint, CrashSignal, ShardBatch, ShardState, TickProbe};
+pub use shard::{auction_rng, CrashPoint, CrashSignal, ShardBatch, ShardState, TickProbe};
 // The resilience substrate (fault plans, checkpoints), re-exported so
 // engine callers can schedule faults and resume runs without depending on
 // the crate directly.

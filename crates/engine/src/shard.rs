@@ -4,9 +4,11 @@
 //! [`treads_workload::ShardPlan`]) and everything keyed on them:
 //!
 //! * each user's **browsing schedule**, generated one day at a time from
-//!   the per-user-per-day substream `session-user-{id}-day-{d}` —
-//!   identical whichever shard (or pipeline stage) runs it;
-//! * each user's **auction RNG**, substream `engine-user-{id}` — likewise;
+//!   the stream keyed on `(user, day)`
+//!   ([`SessionSchedule::generate_day_for_user`]) — identical whichever
+//!   shard (or pipeline stage) runs it;
+//! * each user's **auction RNG**, the stream keyed on the user
+//!   ([`auction_rng`]) — likewise;
 //! * the shard's **frequency caps**, which are per-`(ad, user)` counters
 //!   and therefore never shared across shards;
 //! * the **extension logs** of its users who run the Treads extension.
@@ -22,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use adplatform::billing::BudgetView;
 use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet};
 use adplatform::Platform;
-use adsim_types::rng::substream;
+use adsim_types::rng::keyed_stream;
 use adsim_types::{SimTime, SiteId, UserId};
 use rand::rngs::StdRng;
 use std::time::Instant;
@@ -37,6 +39,18 @@ use treads_resilience::LostWork;
 
 use crate::engine::DAY_MS;
 use crate::event::ShardEvent;
+
+/// Domain constant of the per-user auction streams.
+const AUCTION_DOMAIN: u64 = 0x454e_475f_5553_4552; // "ENG_USER"
+
+/// `user`'s private auction RNG at the start of a run under the master
+/// `seed`: the stream keyed on the user id
+/// ([`adsim_types::rng::keyed_stream`]). The batch engine's shards and the
+/// serving front end's workers both start each user from it, so the two
+/// paths draw identical auctions.
+pub fn auction_rng(seed: u64, user: UserId) -> StdRng {
+    keyed_stream(seed, AUCTION_DOMAIN, &[user.raw()])
+}
 
 /// One user's execution state inside its owning shard.
 ///
@@ -57,7 +71,7 @@ use crate::event::ShardEvent;
 #[derive(Clone)]
 struct UserRuntime {
     id: UserId,
-    /// Auction randomness: substream `engine-user-{id}` of the engine seed.
+    /// Auction randomness: [`auction_rng`] of the engine seed.
     rng: StdRng,
     /// Pending window of the browsing schedule: the unconsumed events of
     /// every day generated so far, time-sorted.
@@ -234,7 +248,7 @@ impl ShardState {
             .iter()
             .map(|&id| UserRuntime {
                 id,
-                rng: substream(seed, &format!("engine-user-{}", id.raw())),
+                rng: auction_rng(seed, id),
                 buf: Vec::new(),
                 buf_pos: 0,
                 gen_days: 0,

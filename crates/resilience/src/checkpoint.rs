@@ -51,7 +51,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"TRCK";
 /// * v5 — one body for both frame kinds: a full frame is the delta body
 ///   that takes the empty state to the checkpoint, ending in its
 ///   [`crate::delta::state_digest`], which decoding verifies.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// * v6 — same layout; per-user cursors index the schedules drawn from
+///   the keyed `(user, day)` streams
+///   ([`adsim_types::rng::keyed_stream`]), not the SHA-256-labelled
+///   substreams v5 cursors counted events of.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Frame-kind byte of a full checkpoint frame.
 pub const FRAME_FULL: u8 = 0;
@@ -423,9 +427,10 @@ pub(crate) mod tests {
             DecodeError::Truncated
         );
         // Corrupt the version field (bytes 8..12 after the 4+4 magic frame):
-        // a v4 frame, whose full body predates the shared one, and a
-        // version no release wrote are both refused.
-        for version in [4, 0xFF] {
+        // a v4 frame, whose full body predates the shared one, a v5 frame,
+        // whose cursors count events of the SHA-256-seeded schedules, and
+        // a version no release wrote are all refused.
+        for version in [4, 5, 0xFF] {
             bytes[8] = version;
             assert_eq!(
                 EngineCheckpoint::from_bytes(&bytes).unwrap_err(),

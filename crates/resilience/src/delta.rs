@@ -1887,7 +1887,7 @@ mod tests {
         let [full, delta] = sample_frames().map(|b| adsim_types::hash::sha256(&b).fingerprint());
         assert_eq!(
             (CHECKPOINT_VERSION, full, delta),
-            (5, 0x4239_1537_b667_d730, 0xde29_2e61_4246_b39a),
+            (6, 0xce99_1b92_7eb0_6d8a, 0x484c_8916_06fd_a0cb),
             "frame bytes changed: bump CHECKPOINT_VERSION and re-pin"
         );
     }

@@ -54,6 +54,10 @@
 //! * **v5** — one body for both kinds: a full frame is the delta body
 //!   that takes the empty state to the checkpoint (every keyed slot an
 //!   upsert, every journal at base 0), ending in its state digest.
+//! * **v6** — same layout as v5; per-user cursors count events of the
+//!   schedules drawn from the keyed `(user, day)` streams
+//!   (`adsim_types::rng::keyed_stream`) instead of SHA-256-labelled
+//!   substreams, so a v5 cursor would resume a different history.
 //!
 //! **Strict decoding, everywhere:** decoders reject bad magic, unknown
 //! versions, unknown frame kinds, truncated input, trailing bytes, and

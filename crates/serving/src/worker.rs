@@ -21,12 +21,11 @@ use adplatform::auction::AuctionOutcome;
 use adplatform::billing::BudgetSnapshot;
 use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet};
 use adplatform::Platform;
-use adsim_types::rng::substream;
 use adsim_types::{SimTime, UserId};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
-use treads_engine::ShardEvent;
+use treads_engine::{auction_rng, ShardEvent};
 use treads_resilience::{FaultPlan, LostWork};
 use treads_telemetry::{Histogram, RequestTrace, TraceConfig, TraceEventKind, TraceId, SHED_SEQ};
 use treads_workload::ShardPlan;
@@ -161,7 +160,7 @@ impl TickAcc {
 /// runtime owns, created lazily on the user's first request.
 #[derive(Clone)]
 struct UserServe {
-    /// Auction randomness: substream `engine-user-{id}` of the master
+    /// Auction randomness: [`treads_engine::auction_rng`] of the master
     /// seed — the identical stream the batch engine draws from.
     rng: StdRng,
     /// Per-user event counter; becomes the `user_seq` merge-key component.
@@ -478,7 +477,7 @@ impl<'a, 'p> Worker<'a, 'p> {
         self.acc.page_views += 1;
         let seed = self.seed;
         let user = self.users.entry(req.user).or_insert_with(|| UserServe {
-            rng: substream(seed, &format!("engine-user-{}", req.user.raw())),
+            rng: auction_rng(seed, req.user),
             seq: 0,
         });
         // The trace id is keyed on the page view's first merge key —

@@ -39,6 +39,12 @@ impl BrowsingEvent {
     }
 }
 
+/// Domain constant of the per-`(user, day)` browsing streams. Checkpoint
+/// cursors count events of the schedules these streams draw, so changing
+/// it (or the draw order in [`SessionSchedule::generate_day_for_user`])
+/// needs a checkpoint version bump.
+const SESSION_DAY_DOMAIN: u64 = 0x5345_5353_5f44_4159; // "SESS_DAY"
+
 /// Workload shape for schedule generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
@@ -112,24 +118,10 @@ impl SessionSchedule {
         Self::from_events(events)
     }
 
-    /// Generates one user's schedule from a substream of `seed` named
-    /// after the user, with [`SessionSchedule::generate`]'s shape.
-    ///
-    /// Because the stream is keyed on the *user* — not on whichever worker
-    /// happens to run them — the user browses bit-identically no matter
-    /// how a parallel driver shards the population.
-    pub fn generate_for_user(
-        user: UserId,
-        sites: &[SiteId],
-        config: &SessionConfig,
-        seed: u64,
-    ) -> Self {
-        let mut rng = adsim_types::rng::substream(seed, &format!("session-user-{}", user.raw()));
-        Self::generate(&[user], sites, config, &mut rng)
-    }
-
-    /// Generates one simulated day of one user's schedule from a
-    /// substream of `seed` keyed on `(user, day)`.
+    /// Generates one simulated day of one user's schedule from the
+    /// stream of `seed` keyed on `(user, day)`
+    /// ([`adsim_types::rng::keyed_stream`] under this module's session
+    /// domain constant).
     ///
     /// This is the engine's session source: day `d`'s events are a pure
     /// function of `(user, seed, d)`, independent of which shard (or
@@ -156,8 +148,7 @@ impl SessionSchedule {
             day,
             config.days
         );
-        let mut rng =
-            adsim_types::rng::substream(seed, &format!("session-user-{}-day-{}", user.raw(), day));
+        let mut rng = adsim_types::rng::keyed_stream(seed, SESSION_DAY_DOMAIN, &[user.raw(), day]);
         let day_start = day * 86_400_000;
         let expected = config.views_per_user_per_day;
         let mut n = expected.floor() as u64;
@@ -292,6 +283,7 @@ mod tests {
     use adplatform::targeting::{TargetingExpr, TargetingSpec};
     use adplatform::PlatformConfig;
     use adsim_types::rng::substream;
+    use adsim_types::stats::chi_square_sf;
     use adsim_types::Money;
 
     fn platform() -> Platform {
@@ -328,31 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn per_user_generation_is_shard_independent() {
-        let sites = vec![SiteId(1), SiteId(2), SiteId(3)];
-        let config = SessionConfig {
-            views_per_user_per_day: 7.5,
-            days: 3,
-        };
-        // The same user's schedule is a pure function of (user, seed) —
-        // regenerating it in any context gives identical events.
-        let a = SessionSchedule::generate_for_user(UserId(5), &sites, &config, 42);
-        let b = SessionSchedule::generate_for_user(UserId(5), &sites, &config, 42);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        // Distinct users and distinct seeds draw distinct streams.
-        let c = SessionSchedule::generate_for_user(UserId(6), &sites, &config, 42);
-        let d = SessionSchedule::generate_for_user(UserId(5), &sites, &config, 43);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
-        // Every event belongs to the requested user.
-        for e in a.events() {
-            let BrowsingEvent::PageView { user, .. } = e;
-            assert_eq!(*user, UserId(5));
-        }
-    }
-
-    #[test]
     fn day_generation_is_windowed_and_pure() {
         let sites = vec![SiteId(1), SiteId(2), SiteId(3)];
         let config = SessionConfig {
@@ -365,6 +332,10 @@ mod tests {
             // bit-identical — the basis of the pipelined tick overlap.
             let b = SessionSchedule::generate_day_for_user(UserId(9), &sites, &config, 7, day);
             assert_eq!(a, b);
+            // Every event belongs to the requested user.
+            assert!(a
+                .iter()
+                .all(|&BrowsingEvent::PageView { user, .. }| user == UserId(9)));
             // Windowed: every event lands inside the day.
             let (lo, hi) = (day * 86_400_000, (day + 1) * 86_400_000);
             assert!(a.iter().all(|e| {
@@ -381,6 +352,79 @@ mod tests {
         assert_ne!(d0, d1);
         let other = SessionSchedule::generate_day_for_user(UserId(10), &sites, &config, 7, 0);
         assert_ne!(d0, other);
+        let reseeded = SessionSchedule::generate_day_for_user(UserId(9), &sites, &config, 8, 0);
+        assert_ne!(d0, reseeded);
+    }
+
+    #[test]
+    fn day_schedule_is_pinned() {
+        // Checkpoint cursors count events of these schedules: a resume
+        // regenerates days and skips the consumed prefix. A change to the
+        // derivation or the draw order changes what a cursor points at,
+        // so it must bump CHECKPOINT_VERSION (treads-resilience) too.
+        let sites = [SiteId(1), SiteId(2), SiteId(3)];
+        let config = SessionConfig {
+            views_per_user_per_day: 2.5,
+            days: 3,
+        };
+        let got: Vec<(u64, u64)> =
+            SessionSchedule::generate_day_for_user(UserId(42), &sites, &config, 7, 1)
+                .iter()
+                .map(|&BrowsingEvent::PageView { site, at, .. }| (site.raw(), at.millis()))
+                .collect();
+        assert_eq!(
+            got,
+            [(1, 116_036_169), (2, 141_610_822), (1, 166_222_430)],
+            "generate_day_for_user changed: bump CHECKPOINT_VERSION and re-pin"
+        );
+    }
+
+    #[test]
+    fn day_streams_keep_the_traffic_shape() {
+        // Over many user-days the keyed streams must draw the documented
+        // shape: uniform sites, uniform instants within the day, and the
+        // extra fractional view on a `fract` share of days.
+        let sites: Vec<SiteId> = (1..=7).map(SiteId).collect();
+        let config = SessionConfig {
+            views_per_user_per_day: 3.3,
+            days: 4,
+        };
+        let (users, days) = (6_000u64, config.days);
+        let mut site_counts = [0u64; 7];
+        let mut hour_counts = [0u64; 24];
+        let mut extra_days = 0u64;
+        for user in 1..=users {
+            for day in 0..days {
+                let events =
+                    SessionSchedule::generate_day_for_user(UserId(user), &sites, &config, 11, day);
+                extra_days += u64::from(events.len() == 4);
+                for &BrowsingEvent::PageView { site, at, .. } in &events {
+                    site_counts[site.raw() as usize - 1] += 1;
+                    hour_counts[((at.millis() - day * 86_400_000) / 3_600_000) as usize] += 1;
+                }
+            }
+        }
+        let user_days = (users * days) as f64;
+        let fit = |counts: &[u64]| {
+            let total: u64 = counts.iter().sum();
+            let expected = total as f64 / counts.len() as f64;
+            let stat: f64 = counts
+                .iter()
+                .map(|&c| (c as f64 - expected).powi(2) / expected)
+                .sum();
+            chi_square_sf(stat, counts.len() as u64 - 1)
+        };
+        let p_site = fit(&site_counts);
+        assert!(p_site > 1e-3, "site choice p = {p_site}: {site_counts:?}");
+        let p_hour = fit(&hour_counts);
+        assert!(p_hour > 1e-3, "hour of day p = {p_hour}: {hour_counts:?}");
+        let p = 0.3f64;
+        let sigma = (p * (1.0 - p) / user_days).sqrt();
+        let share = extra_days as f64 / user_days;
+        assert!(
+            (share - p).abs() < 4.0 * sigma,
+            "extra-view share {share} vs fract {p} (sigma {sigma})"
+        );
     }
 
     #[test]
