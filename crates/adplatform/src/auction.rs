@@ -383,8 +383,8 @@ mod proptests {
     use adsim_types::rng::substream;
     use proptest::prelude::*;
 
-    /// One bid per ad id — the invariant `eligible_bids` guarantees (an
-    /// ad enters each auction at most once).
+    /// One bid per ad id — the invariant the eligibility filter chain
+    /// guarantees (an ad enters each auction at most once).
     fn arb_bids() -> impl Strategy<Value = Vec<Bid>> {
         prop::collection::btree_map(1u64..100, 1i64..20_000_000, 0..12).prop_map(|m| {
             m.into_iter()

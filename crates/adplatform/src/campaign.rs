@@ -118,8 +118,9 @@ pub struct Campaign {
 ///
 /// Alongside the primary maps the store maintains a
 /// [`TargetingIndex`] filing every ad under its anchor signal at
-/// creation; [`crate::delivery::eligible_bids`] consults it (or not,
-/// per [`SelectionMode`]) to avoid scanning the whole inventory per
+/// creation; stage 1 of the delivery filter chain
+/// ([`crate::delivery::MatchSet`]) consults it (or not, per
+/// [`SelectionMode`]) to avoid scanning the whole inventory per
 /// opportunity. Each ad's targeting spec is also lowered into the
 /// store's [`ProgramArena`] at creation; delivery evaluates the
 /// compiled program (or the tree oracle, per [`EvalMode`]) per

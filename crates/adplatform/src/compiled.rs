@@ -42,8 +42,8 @@ use crate::profile::{Gender, UserProfile};
 use crate::targeting::{haversine_km, TargetingExpr, TargetingSpec};
 use adsim_types::{AudienceId, Symbol, SymbolTable};
 
-/// How `crate::delivery::eligible_bids` evaluates a candidate ad's
-/// targeting spec.
+/// How the delivery filter chain (stage 1, [`crate::delivery::MatchSet`])
+/// evaluates a candidate ad's targeting spec.
 ///
 /// Both modes produce byte-identical platform outputs; they differ only
 /// in work performed. [`EvalMode::Tree`] is retained as the verification

@@ -144,10 +144,12 @@ pub struct DeliveryStats {
 
 /// An impression the decide phase committed to but has not yet recorded.
 ///
-/// Produced by [`decide_opportunity`]; applied against the mutable stores
-/// by [`apply_impression`]. The split is what lets the parallel engine run
-/// auctions against read-only state in shard threads and fold the results
-/// into billing/logs/caps in a deterministic merge order.
+/// Produced by the decide half ([`crate::Platform::decide_slot`], or
+/// [`decide_opportunity_traced_with_scratch`] for both stages at once);
+/// applied against the mutable stores by [`apply_impression`]. The split
+/// is what lets the parallel engine run auctions against read-only state
+/// in shard threads and fold the results into billing/logs/caps in a
+/// deterministic merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingImpression {
     /// The winning ad.
@@ -169,7 +171,7 @@ pub struct PendingImpression {
     pub spec_digest: u64,
 }
 
-/// What [`decide_opportunity`] concluded for one opportunity.
+/// What the decide half concluded for one opportunity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// The auction outcome (returned to the caller / the browsing user).
@@ -537,26 +539,14 @@ impl DeliveryScratch {
     }
 }
 
-/// Collects the bids eligible for an opportunity shown to `user`.
+/// Collects the bids eligible for an opportunity shown to `user`, plus
+/// the [`EligibilityBreakdown`] saying where every non-eligible ad was
+/// filtered out.
 ///
 /// Eligibility = ad approved ∧ owning account active ∧ campaign within
 /// budget ∧ frequency cap allows ∧ targeting spec matches the user.
 /// Budget state is read through [`BudgetView`], so the check runs equally
 /// against the live ledger or a tick-start snapshot.
-pub fn eligible_bids<B: BudgetView>(
-    user: &UserProfile,
-    campaigns: &CampaignStore,
-    audiences: &AudienceStore,
-    suspended: &BTreeSet<AccountId>,
-    billing: &B,
-    freq: &FrequencyCaps,
-) -> Vec<Bid> {
-    eligible_bids_traced(user, campaigns, audiences, suspended, billing, freq).0
-}
-
-/// [`eligible_bids`] plus the [`EligibilityBreakdown`] saying where every
-/// non-eligible ad was filtered out. The filter logic is shared — the
-/// traced and untraced forms can never disagree.
 ///
 /// Allocates a throwaway [`DeliveryScratch`]; hot callers use
 /// [`eligible_bids_traced_into`] with a reused one instead.
@@ -655,11 +645,12 @@ pub fn candidate_verdicts<B: BudgetView>(
 
 /// A [`Decision`] together with the telemetry the decide phase produced
 /// along the way: the eligibility census and the auction trace. Returned
-/// by [`decide_opportunity_traced`]; the engine forwards the extras to its
-/// metrics registry and flight recorder.
+/// by [`crate::Platform::decide_slot`] and
+/// [`decide_opportunity_traced_with_scratch`]; the engine and serving
+/// forward the extras to their metrics, flight journal and traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracedDecision {
-    /// The decision itself (what [`decide_opportunity`] returns).
+    /// The decision itself.
     pub decision: Decision,
     /// Where every considered ad was filtered (or not).
     pub breakdown: EligibilityBreakdown,
@@ -672,66 +663,8 @@ pub struct TracedDecision {
 /// it. On a win the returned [`Decision`] carries the fully-resolved
 /// [`PendingImpression`]; nothing is charged or logged until
 /// [`apply_impression`] runs.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_opportunity<B: BudgetView, R: Rng>(
-    user: &UserProfile,
-    at: SimTime,
-    campaigns: &CampaignStore,
-    audiences: &AudienceStore,
-    suspended: &BTreeSet<AccountId>,
-    billing: &B,
-    freq: &FrequencyCaps,
-    auction_cfg: &AuctionConfig,
-    rng: &mut R,
-) -> Decision {
-    decide_opportunity_traced(
-        user,
-        at,
-        campaigns,
-        audiences,
-        suspended,
-        billing,
-        freq,
-        auction_cfg,
-        rng,
-    )
-    .decision
-}
-
-/// [`decide_opportunity`] with full tracing. Same filters, same auction,
-/// same RNG consumption — the traced form is the implementation and the
-/// untraced form discards the extras. Allocates a throwaway
-/// [`DeliveryScratch`]; hot callers use
-/// [`decide_opportunity_traced_with_scratch`] with a reused one.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_opportunity_traced<B: BudgetView, R: Rng>(
-    user: &UserProfile,
-    at: SimTime,
-    campaigns: &CampaignStore,
-    audiences: &AudienceStore,
-    suspended: &BTreeSet<AccountId>,
-    billing: &B,
-    freq: &FrequencyCaps,
-    auction_cfg: &AuctionConfig,
-    rng: &mut R,
-) -> TracedDecision {
-    let mut scratch = DeliveryScratch::new();
-    decide_opportunity_traced_with_scratch(
-        user,
-        at,
-        campaigns,
-        audiences,
-        suspended,
-        billing,
-        freq,
-        auction_cfg,
-        rng,
-        &mut scratch,
-    )
-}
-
-/// The allocation-free form of [`decide_opportunity_traced`]: all working
-/// memory comes from `scratch`, which the caller keeps across
+///
+/// All working memory comes from `scratch`, which the caller keeps across
 /// opportunities. Runs both stages of the filter chain — a fresh
 /// [`MatchSet`], then the slot's cap and auction — so it suits callers
 /// whose platform or budget may change between opportunities.
@@ -778,47 +711,6 @@ pub fn apply_impression(
         spec_digest: pending.spec_digest,
     });
     price
-}
-
-/// Processes one impression opportunity end to end (decide + apply
-/// immediately, against live state). Returns the auction outcome (the
-/// caller can ignore it; all bookkeeping is done here).
-#[allow(clippy::too_many_arguments)]
-pub fn handle_opportunity<R: Rng>(
-    user: &UserProfile,
-    at: SimTime,
-    campaigns: &CampaignStore,
-    audiences: &AudienceStore,
-    suspended: &BTreeSet<AccountId>,
-    billing: &mut BillingLedger,
-    freq: &mut FrequencyCaps,
-    log: &mut ImpressionLog,
-    stats: &mut DeliveryStats,
-    auction_cfg: &AuctionConfig,
-    rng: &mut R,
-) -> AuctionOutcome {
-    stats.opportunities += 1;
-    let decision = decide_opportunity(
-        user,
-        at,
-        campaigns,
-        audiences,
-        suspended,
-        &*billing,
-        freq,
-        auction_cfg,
-        rng,
-    );
-    match decision.outcome {
-        AuctionOutcome::Won { .. } => {
-            stats.won += 1;
-            let pending = decision.pending.expect("win carries an impression");
-            apply_impression(&pending, billing, freq, log);
-        }
-        AuctionOutcome::LostToBackground => stats.lost_to_background += 1,
-        AuctionOutcome::Unfilled => stats.unfilled += 1,
-    }
-    decision.outcome
 }
 
 #[cfg(test)]
@@ -880,21 +772,33 @@ mod tests {
         ad
     }
 
+    /// One opportunity end to end: a fresh decide against live state,
+    /// then the apply half at once on a win.
     fn drive(r: &mut Rig, user: UserId, at: u64) -> AuctionOutcome {
-        let profile = r.profiles.get(user).expect("user").clone();
-        handle_opportunity(
-            &profile,
+        let decision = decide_opportunity_traced_with_scratch(
+            r.profiles.get(user).expect("user"),
             SimTime(at),
             &r.campaigns,
             &r.audiences,
             &r.suspended,
-            &mut r.billing,
-            &mut r.freq,
-            &mut r.log,
-            &mut r.stats,
+            &r.billing,
+            &r.freq,
             &r.cfg,
             &mut r.rng,
+            &mut DeliveryScratch::new(),
         )
+        .decision;
+        r.stats.opportunities += 1;
+        match decision.outcome {
+            AuctionOutcome::Won { .. } => {
+                r.stats.won += 1;
+                let pending = decision.pending.expect("win carries an impression");
+                apply_impression(&pending, &mut r.billing, &mut r.freq, &mut r.log);
+            }
+            AuctionOutcome::LostToBackground => r.stats.lost_to_background += 1,
+            AuctionOutcome::Unfilled => r.stats.unfilled += 1,
+        }
+        decision.outcome
     }
 
     #[test]
@@ -1079,10 +983,9 @@ mod tests {
                 + b.eligible
         );
 
-        // The traced decision agrees with the untraced one.
-        let mut rng_a = substream(77, "delivery-traced");
-        let mut rng_b = substream(77, "delivery-traced");
-        let traced = decide_opportunity_traced(
+        // The decide's census agrees with the filter chain's.
+        let mut rng = substream(77, "delivery-traced");
+        let traced = decide_opportunity_traced_with_scratch(
             &profile,
             SimTime(0),
             &r.campaigns,
@@ -1091,20 +994,9 @@ mod tests {
             &r.billing,
             &r.freq,
             &r.cfg,
-            &mut rng_a,
+            &mut rng,
+            &mut DeliveryScratch::new(),
         );
-        let plain = decide_opportunity(
-            &profile,
-            SimTime(0),
-            &r.campaigns,
-            &r.audiences,
-            &r.suspended,
-            &r.billing,
-            &r.freq,
-            &r.cfg,
-            &mut rng_b,
-        );
-        assert_eq!(traced.decision, plain);
         assert_eq!(traced.breakdown, b);
         assert_eq!(traced.auction.advertiser_bids, 1);
     }
@@ -1316,7 +1208,7 @@ mod tests {
             &mut rng_a,
             &mut scratch,
         );
-        let fresh_first = decide_opportunity_traced(
+        let fresh_first = decide_opportunity_traced_with_scratch(
             &profile,
             SimTime(0),
             &r.campaigns,
@@ -1326,8 +1218,9 @@ mod tests {
             &r.freq,
             &r.cfg,
             &mut rng_b,
+            &mut DeliveryScratch::new(),
         );
-        let fresh_second = decide_opportunity_traced(
+        let fresh_second = decide_opportunity_traced_with_scratch(
             &profile,
             SimTime(1),
             &r.campaigns,
@@ -1337,6 +1230,7 @@ mod tests {
             &r.freq,
             &r.cfg,
             &mut rng_b,
+            &mut DeliveryScratch::new(),
         );
         assert_eq!(first, fresh_first);
         assert_eq!(second, fresh_second);
@@ -1512,7 +1406,7 @@ mod tests {
                         &mut rng_reused,
                         &mut bids,
                     );
-                    let fresh = decide_opportunity_traced(
+                    let fresh = decide_opportunity_traced_with_scratch(
                         profile,
                         at,
                         &r.campaigns,
@@ -1522,6 +1416,7 @@ mod tests {
                         &r.freq,
                         &r.cfg,
                         &mut rng_fresh,
+                        &mut DeliveryScratch::new(),
                     );
                     prop_assert_eq!(reused, fresh, "slot {}", slot);
                     prop_assert_eq!(rng_reused.state(), rng_fresh.state());

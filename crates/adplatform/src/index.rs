@@ -1,8 +1,8 @@
 //! The inverted targeting index: signal → candidate ads.
 //!
-//! [`eligible_bids`](crate::delivery::eligible_bids) historically scanned
-//! **every** ad in the store for **every** impression opportunity, so
-//! per-opportunity cost grew linearly with inventory size — the dominant
+//! The delivery filter chain ([`crate::delivery::MatchSet`]) historically
+//! scanned **every** ad in the store for **every** impression opportunity,
+//! so per-opportunity cost grew linearly with inventory size — the dominant
 //! term in the engine's auction phase once inventories reach the
 //! thousands. [`TargetingIndex`] inverts that relationship: each ad is
 //! filed under an **anchor key** derived from its targeting expression (an
@@ -106,7 +106,8 @@ use crate::targeting::{TargetingExpr, TargetingSpec};
 use adsim_types::{AdId, AttributeId, AudienceId};
 use std::collections::BTreeMap;
 
-/// How [`crate::delivery::eligible_bids`] gathers its candidate ads.
+/// How stage 1 of the delivery filter chain
+/// ([`crate::delivery::MatchSet`]) gathers its candidate ads.
 ///
 /// Both modes produce byte-identical platform outputs; they differ only
 /// in work performed. [`SelectionMode::LinearScan`] is retained as the

@@ -41,6 +41,7 @@ pub mod engine;
 pub mod event;
 pub mod merge;
 pub mod shard;
+pub mod view;
 
 pub use engine::{
     fold_tick_events, Engine, EngineConfig, EngineOutcome, EngineReport, ResilienceOptions,
@@ -48,7 +49,8 @@ pub use engine::{
 };
 pub use event::ShardEvent;
 pub use merge::{merge_batches, merge_batches_lossy, MergeError};
-pub use shard::{auction_rng, CrashPoint, CrashSignal, ShardBatch, ShardState, TickProbe};
+pub use shard::{CrashPoint, CrashSignal, ShardBatch, ShardState, TickProbe};
+pub use view::{auction_rng, PageView, SlotStep, ViewDecider, Viewer};
 // The resilience substrate (fault plans, checkpoints), re-exported so
 // engine callers can schedule faults and resume runs without depending on
 // the crate directly.
@@ -68,7 +70,7 @@ mod tests {
     use adplatform::profile::Gender;
     use adplatform::targeting::{TargetingExpr, TargetingSpec};
     use adplatform::{Platform, PlatformConfig};
-    use adsim_types::{Money, SimTime, UserId};
+    use adsim_types::{Money, SimTime, SiteId, UserId};
     use std::collections::BTreeSet;
     use websim::{SessionConfig, SessionSchedule, SiteRegistry};
 
@@ -216,6 +218,47 @@ mod tests {
         }
         // A user active before and after noon is matched once per tick.
         assert!(active_in_both > users.len() as u64);
+    }
+
+    #[test]
+    fn skip_tick_itemizes_exactly_what_the_tick_would_run() {
+        let (p, sites, users, _camp) = scenario(16);
+        let session = SessionConfig {
+            views_per_user_per_day: 4.0,
+            days: 2,
+        };
+        // Users also browse a site missing from the registry: both walks
+        // consume those views without simulating or counting them.
+        let mut site_ids = sites.ids();
+        site_ids.push(SiteId(999));
+        let shard = ShardState::new(0, &users, &BTreeSet::new(), &site_ids, &session, 7, 1_000);
+        let (mut ran, mut skipped) = (shard.clone(), shard);
+        let consumed =
+            |s: &ShardState| -> u64 { s.export_cursors().users.iter().map(|c| c.cursor).sum() };
+        let mut views = 0;
+        for tick_end in [DAY_MS, 2 * DAY_MS] {
+            let batch = ran.run_tick(
+                &p,
+                &p.billing.budget_snapshot(),
+                &sites,
+                SimTime(tick_end),
+                TickProbe::off(),
+            );
+            let lost = skipped.skip_tick(&sites, SimTime(tick_end));
+            let pixel_fires = batch
+                .events
+                .iter()
+                .filter(|e| matches!(e, ShardEvent::PixelFire { .. }))
+                .count() as u64;
+            assert!(pixel_fires > 0, "the pixel site was browsed");
+            assert_eq!(
+                (lost.page_views, lost.opportunities, lost.pixel_fires),
+                (batch.page_views, batch.stats.opportunities, pixel_fires)
+            );
+            assert_eq!(consumed(&ran), consumed(&skipped));
+            views += batch.page_views;
+        }
+        assert!(consumed(&ran) > views, "unknown-site views were consumed");
     }
 
     #[test]

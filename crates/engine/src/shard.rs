@@ -7,49 +7,63 @@
 //!   the stream keyed on `(user, day)`
 //!   ([`SessionSchedule::generate_day_for_user`]) — identical whichever
 //!   shard (or pipeline stage) runs it;
-//! * each user's **auction RNG**, the stream keyed on the user
-//!   ([`auction_rng`]) — likewise;
+//! * each user's **auction RNG** and event counter ([`Viewer`]), the
+//!   RNG being the stream keyed on the user ([`crate::auction_rng`]) —
+//!   likewise;
 //! * the shard's **frequency caps**, which are per-`(ad, user)` counters
-//!   and therefore never shared across shards;
-//! * the **extension logs** of its users who run the Treads extension.
+//!   and therefore never shared across shards, and the **extension logs**
+//!   of its users who run the Treads extension (both in its
+//!   [`ViewDecider`]).
 //!
-//! During a tick the shard only *reads* the platform — against a frozen
-//! [`adplatform::billing::BudgetSnapshot`], through
-//! [`Platform::match_set_into`] once per user and
-//! [`Platform::decide_slot`] once per ad slot — and accumulates its
-//! globally-visible effects as a [`ShardBatch`] for the engine to merge.
+//! A tick walks each user's schedule up to the tick's end and decides
+//! every page view with [`ViewDecider::decide_view`], the routine the
+//! serving workers run too. The shard only *reads* the platform — against
+//! a frozen [`adplatform::billing::BudgetSnapshot`], with one stage-1
+//! match set per user per tick — and accumulates its globally-visible
+//! effects as a [`ShardBatch`] for the engine to merge. What only the
+//! batch path records stays here: the census tally, histograms, sampled
+//! phase timers and the flight journal.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use adplatform::billing::BudgetView;
-use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet};
+use adplatform::delivery::DeliveryStats;
 use adplatform::Platform;
-use adsim_types::rng::keyed_stream;
 use adsim_types::{SimTime, SiteId, UserId};
 use rand::rngs::StdRng;
 use std::time::Instant;
 use treads_telemetry::{
     FlightEvent, FlightKind, FlightRecorder, Histogram, Registry, RequestTrace, TraceConfig,
-    TraceEventKind, TraceId,
+    TraceId,
 };
-use websim::{BrowsingEvent, ExtensionLog, SessionConfig, SessionSchedule, SiteRegistry};
+use websim::{BrowsingEvent, ExtensionLog, SessionConfig, SessionSchedule, Site, SiteRegistry};
 
 use treads_resilience::checkpoint::{ExtensionSnapshot, ShardCheckpoint, UserCursor};
 use treads_resilience::LostWork;
 
 use crate::engine::DAY_MS;
 use crate::event::ShardEvent;
+use crate::view::{outcome_label, PageView, SlotStep, ViewDecider, Viewer};
 
-/// Domain constant of the per-user auction streams.
-const AUCTION_DOMAIN: u64 = 0x454e_475f_5553_4552; // "ENG_USER"
+/// The inputs of day-keyed schedule generation, retained so days can be
+/// materialized lazily (see [`UserRuntime::buf`]).
+#[derive(Clone)]
+struct DayGen {
+    site_ids: Vec<SiteId>,
+    session: SessionConfig,
+    seed: u64,
+}
 
-/// `user`'s private auction RNG at the start of a run under the master
-/// `seed`: the stream keyed on the user id
-/// ([`adsim_types::rng::keyed_stream`]). The batch engine's shards and the
-/// serving front end's workers both start each user from it, so the two
-/// paths draw identical auctions.
-pub fn auction_rng(seed: u64, user: UserId) -> StdRng {
-    keyed_stream(seed, AUCTION_DOMAIN, &[user.raw()])
+impl DayGen {
+    /// Day `day` of `user`'s browsing schedule.
+    fn day(&self, user: UserId, day: u64) -> Vec<BrowsingEvent> {
+        SessionSchedule::generate_day_for_user(user, &self.site_ids, &self.session, self.seed, day)
+    }
+
+    /// Whether day `day` exists and can hold events before `until`.
+    fn needed(&self, day: u64, until: SimTime) -> bool {
+        day < self.session.days && day * DAY_MS < until.millis()
+    }
 }
 
 /// One user's execution state inside its owning shard.
@@ -71,8 +85,8 @@ pub fn auction_rng(seed: u64, user: UserId) -> StdRng {
 #[derive(Clone)]
 struct UserRuntime {
     id: UserId,
-    /// Auction randomness: [`auction_rng`] of the engine seed.
-    rng: StdRng,
+    /// Auction RNG and event counter, advanced by the decide.
+    viewer: Viewer,
     /// Pending window of the browsing schedule: the unconsumed events of
     /// every day generated so far, time-sorted.
     buf: Vec<BrowsingEvent>,
@@ -83,12 +97,17 @@ struct UserRuntime {
     /// Total browsing events consumed since the run began — the
     /// checkpoint cursor (day-generation replays it on resume).
     consumed: u64,
-    /// Per-user event counter; becomes the `user_seq` merge-key component.
-    seq: u64,
     /// Per-user flight-event counter: the `seq` tie-breaker of this user's
     /// journal entries. Advances only on journaled events, entirely from
     /// user-owned state, so it is shard-count-invariant like `seq`.
     fseq: u64,
+    /// Set whenever the user consumes a browsing event (the only way
+    /// cursor/RNG/seq state can move), cleared by
+    /// [`ShardState::take_dirty_cursors`]. A crash-restored snapshot
+    /// restores the flag with the rest of the user, so it can be
+    /// spuriously *set* after recovery (a harmless, slightly larger
+    /// delta) but never spuriously clear.
+    dirty: bool,
 }
 
 impl UserRuntime {
@@ -96,10 +115,45 @@ impl UserRuntime {
     fn cursor(&self) -> UserCursor {
         UserCursor {
             user: self.id,
-            rng: self.rng.state(),
+            rng: self.viewer.rng.state(),
             cursor: self.consumed,
-            seq: self.seq,
+            seq: self.viewer.seq,
             fseq: self.fseq,
+        }
+    }
+
+    /// Consumes the user's browsing events up to the next page view
+    /// before `tick_end` on a site of `sites`, generating schedule days on
+    /// demand (prefetched shards never need to). Page views of unknown
+    /// sites are consumed and skipped. `None` once the user has no more
+    /// events before `tick_end`.
+    #[inline]
+    fn next_view<'s>(
+        &mut self,
+        days: &DayGen,
+        sites: &'s SiteRegistry,
+        tick_end: SimTime,
+    ) -> Option<(SimTime, &'s Site)> {
+        loop {
+            if self.buf_pos == self.buf.len() {
+                if !days.needed(self.gen_days, tick_end) {
+                    return None;
+                }
+                self.buf = days.day(self.id, self.gen_days);
+                self.buf_pos = 0;
+                self.gen_days += 1;
+                continue;
+            }
+            let BrowsingEvent::PageView { site, at, .. } = self.buf[self.buf_pos];
+            if at >= tick_end {
+                return None;
+            }
+            self.buf_pos += 1;
+            self.consumed += 1;
+            self.dirty = true;
+            if let Some(site) = sites.get(site) {
+                return Some((at, site));
+            }
         }
     }
 }
@@ -140,16 +194,12 @@ const DELIVERY_SAMPLE: u64 = 16;
 /// the registry (a name-keyed map) is touched once per tick at flush.
 #[derive(Default)]
 struct TickTally {
-    page_views: u64,
     considered: u64,
     not_servable: u64,
     suspended: u64,
     over_budget: u64,
     frequency_capped: u64,
     targeting_mismatch: u64,
-    won: u64,
-    lost_to_background: u64,
-    unfilled: u64,
     cap_rejections: u64,
     treads_observed: u64,
     index_candidates: u64,
@@ -207,28 +257,9 @@ pub struct CrashSignal;
 pub struct ShardState {
     index: usize,
     users: Vec<UserRuntime>,
-    /// Per-user dirty flags since the last checkpoint frame: set whenever
-    /// a user consumes a browsing event (the only way cursor/RNG/seq
-    /// state can move), drained by [`Self::take_dirty_cursors`]. A
-    /// crash-restored snapshot restores the flags wholesale, so a flag
-    /// can be spuriously *set* after recovery (a harmless, slightly
-    /// larger delta) but never spuriously clear.
-    dirty: Vec<bool>,
-    freq: FrequencyCaps,
-    extensions: BTreeMap<UserId, ExtensionLog>,
-    /// Inputs of day-keyed schedule generation, retained so days can be
-    /// materialized lazily (see [`UserRuntime::buf`]).
-    site_ids: Vec<SiteId>,
-    session: SessionConfig,
-    seed: u64,
-    /// Stage 1 of the user being decided, rebuilt at each user's first
-    /// opportunity in a tick.
-    /// Pure scratch, like `scratch`: it carries no state between users or
-    /// ticks and is deliberately absent from checkpoints.
-    match_set: MatchSet,
-    /// Reusable per-slot buffers, warm across every opportunity this
-    /// shard ever runs; cleared before use.
-    scratch: DeliveryScratch,
+    days: DayGen,
+    /// Frequency caps, extension logs and the decide's working memory.
+    decider: ViewDecider,
 }
 
 impl ShardState {
@@ -244,17 +275,17 @@ impl ShardState {
         seed: u64,
         frequency_cap: u32,
     ) -> Self {
-        let runtimes: Vec<UserRuntime> = users
+        let runtimes = users
             .iter()
             .map(|&id| UserRuntime {
                 id,
-                rng: auction_rng(seed, id),
+                viewer: Viewer::new(seed, id),
                 buf: Vec::new(),
                 buf_pos: 0,
                 gen_days: 0,
                 consumed: 0,
-                seq: 0,
                 fseq: 0,
+                dirty: false,
             })
             .collect();
         let extensions = users
@@ -264,15 +295,13 @@ impl ShardState {
             .collect();
         Self {
             index,
-            dirty: vec![false; runtimes.len()],
             users: runtimes,
-            freq: FrequencyCaps::new(frequency_cap),
-            extensions,
-            site_ids: sites.to_vec(),
-            session: *session,
-            seed,
-            match_set: MatchSet::default(),
-            scratch: DeliveryScratch::new(),
+            days: DayGen {
+                site_ids: sites.to_vec(),
+                session: *session,
+                seed,
+            },
+            decider: ViewDecider::new(frequency_cap, extensions),
         }
     }
 
@@ -295,14 +324,8 @@ impl ShardState {
                 user.buf.drain(..user.buf_pos);
                 user.buf_pos = 0;
             }
-            while user.gen_days < self.session.days && user.gen_days * DAY_MS < until.millis() {
-                user.buf.extend(SessionSchedule::generate_day_for_user(
-                    user.id,
-                    &self.site_ids,
-                    &self.session,
-                    self.seed,
-                    user.gen_days,
-                ));
+            while self.days.needed(user.gen_days, until) {
+                user.buf.extend(self.days.day(user.id, user.gen_days));
                 user.gen_days += 1;
             }
         }
@@ -377,49 +400,18 @@ impl ShardState {
         let mut tally = TickTally::default();
         let mut eligible_hist = Histogram::small_values();
         let mut candidate_hist = Histogram::small_values();
-        for (ui, user) in self.users.iter_mut().enumerate() {
+        for user in &mut self.users {
             let uid = user.id;
             let mut chain = if record { Some(Instant::now()) } else { None };
-            // Whether `self.match_set` holds this user's stage 1 for this
-            // tick. It is built at the user's first opportunity and serves
-            // every later slot and page view of theirs in the tick: the
-            // platform is `&Platform` and the budget a frozen snapshot, so
-            // only the frequency caps — applied per slot — can move.
+            // Whether the decider's match set holds this user's stage 1
+            // for this tick. It is built at the user's first opportunity
+            // and serves every later slot and page view of theirs in the
+            // tick: the platform is `&Platform` and the budget a frozen
+            // snapshot, so only the frequency caps — applied per slot —
+            // can move.
             let mut matched = false;
-            loop {
-                if user.buf_pos == user.buf.len() {
-                    // Window exhausted: generate the next day on demand if
-                    // it can still contribute events before `tick_end`
-                    // (prefetched shards never take this path).
-                    if user.gen_days >= self.session.days
-                        || user.gen_days * DAY_MS >= tick_end.millis()
-                    {
-                        break;
-                    }
-                    user.buf = SessionSchedule::generate_day_for_user(
-                        uid,
-                        &self.site_ids,
-                        &self.session,
-                        self.seed,
-                        user.gen_days,
-                    );
-                    user.buf_pos = 0;
-                    user.gen_days += 1;
-                    continue;
-                }
-                let BrowsingEvent::PageView { site, at, .. } = user.buf[user.buf_pos];
-                if at >= tick_end {
-                    break;
-                }
-                user.buf_pos += 1;
-                user.consumed += 1;
-                self.dirty[ui] = true;
-                let site = match sites.get(site) {
-                    Some(s) => s,
-                    None => continue,
-                };
+            while let Some((at, site)) = user.next_view(&self.days, sites, tick_end) {
                 batch.page_views += 1;
-                tally.page_views += 1;
                 if let Some(cp) = crash {
                     if batch.page_views > cp.after_page_views {
                         // Die with cursors/RNGs already advanced for this
@@ -428,47 +420,34 @@ impl ShardState {
                     }
                 }
                 // The trace id is keyed on the page view's *first* merge
-                // key — `user.seq` before any pixel or impression of this
-                // view consumes one — so any stage that knows the request
-                // key can re-derive the same id on any shard count.
+                // key — `seq` before any pixel or impression of this view
+                // consumes one — so any stage that knows the request key
+                // can re-derive the same id on any shard count.
                 let trace_id = if tracing {
-                    TraceId::from_key(probe.seed, at, uid.raw(), user.seq)
+                    TraceId::from_key(probe.seed, at, uid.raw(), user.viewer.seq)
                 } else {
                     TraceId(0)
                 };
                 let mut trace = (tracing && probe.trace.sampled(trace_id))
-                    .then(|| RequestTrace::new(trace_id, at, uid.raw(), user.seq, true));
+                    .then(|| RequestTrace::new(trace_id, at, uid.raw(), user.viewer.seq, true));
                 let root = trace.as_mut().map(|t| t.span("page_view", None, at));
-                for &pixel in &site.pixels {
-                    if let (Some(t), Some(root)) = (trace.as_mut(), root) {
-                        t.event(root, TraceEventKind::PixelFired { pixel: pixel.raw() });
-                    }
-                    batch.events.push(ShardEvent::PixelFire {
+                let mut journal = |kind| {
+                    flight.record(FlightEvent {
                         at,
                         user: uid,
-                        user_seq: user.seq,
-                        pixel,
+                        seq: user.fseq,
+                        trace: trace_id.0,
+                        kind,
                     });
-                    user.seq += 1;
-                }
-                for slot in 0..u32::from(site.ad_slots_per_view) {
-                    batch.stats.opportunities += 1;
-                    if !matched {
-                        platform
-                            .match_set_into(uid, budget, &mut self.match_set)
-                            .expect("engine users are registered on the platform");
-                        matched = true;
-                        tally.match_sets += 1;
-                    }
-                    let traced = platform.decide_slot(
-                        &self.match_set,
-                        at,
-                        &self.freq,
-                        &mut user.rng,
-                        &mut self.scratch,
-                    );
-                    if record {
-                        let b = traced.breakdown;
+                    user.fseq += 1;
+                };
+                let mut sample = None;
+                // Everything a tick records per slot. The hook below skips
+                // it at once on an unrecorded tick, so the decide loop pays
+                // one branch per step for it.
+                let mut recorded = |step: SlotStep<'_>| match step {
+                    SlotStep::Decided { decision, .. } => {
+                        let b = decision.breakdown;
                         eligible_hist.observe(u64::from(b.eligible));
                         // Under indexed selection `considered` IS the
                         // candidate-set size; under the linear scan it is
@@ -483,190 +462,79 @@ impl ShardState {
                         tally.frequency_capped += u64::from(b.frequency_capped);
                         tally.targeting_mismatch += u64::from(b.targeting_mismatch);
                         tally.compiled_evals += u64::from(b.compiled_evals);
-                        let outcome_tag = match traced.decision.outcome {
-                            adplatform::auction::AuctionOutcome::Won { .. } => "won",
-                            adplatform::auction::AuctionOutcome::LostToBackground => {
-                                "lost_to_background"
-                            }
-                            adplatform::auction::AuctionOutcome::Unfilled => "unfilled",
-                        };
-                        flight.record(FlightEvent {
-                            at,
-                            user: uid,
-                            seq: user.fseq,
-                            trace: trace_id.0,
-                            kind: FlightKind::AuctionDecided {
-                                outcome: outcome_tag,
-                                eligible: b.eligible,
-                                frequency_capped: b.frequency_capped,
-                                over_budget: b.over_budget,
-                            },
+                        journal(FlightKind::AuctionDecided {
+                            outcome: outcome_label(&decision.decision.outcome),
+                            eligible: b.eligible,
+                            frequency_capped: b.frequency_capped,
+                            over_budget: b.over_budget,
                         });
-                        user.fseq += 1;
                         if b.frequency_capped > 0 {
                             tally.cap_rejections += 1;
-                            flight.record(FlightEvent {
-                                at,
-                                user: uid,
-                                seq: user.fseq,
-                                trace: trace_id.0,
-                                kind: FlightKind::CapRejection {
-                                    ads_capped: b.frequency_capped,
-                                },
+                            journal(FlightKind::CapRejection {
+                                ads_capped: b.frequency_capped,
                             });
-                            user.fseq += 1;
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            let span = t.span("decide_slot", root, at);
-                            let b = traced.breakdown;
-                            t.event(
-                                span,
-                                TraceEventKind::Slot {
-                                    slot,
-                                    considered: b.considered,
-                                    index_pruned: b.index_pruned,
-                                    not_servable: b.not_servable,
-                                    suspended: b.suspended,
-                                    over_budget: b.over_budget,
-                                    frequency_capped: b.frequency_capped,
-                                    targeting_mismatch: b.targeting_mismatch,
-                                    eligible: b.eligible,
-                                    compiled_evals: b.compiled_evals,
-                                },
-                            );
-                            // Per-candidate verdicts are re-derived (pure,
-                            // RNG-free) only for sampled requests — the
-                            // decision path above never depends on them.
-                            let verdicts = platform
-                                .candidate_verdicts(uid, budget, &self.freq)
-                                .expect("engine users are registered on the platform");
-                            for v in verdicts {
-                                t.event(
-                                    span,
-                                    TraceEventKind::Candidate {
-                                        slot,
-                                        ad: v.ad.raw(),
-                                        verdict: v.verdict,
-                                        bid_cpm_micros: v.bid_cpm.as_micros(),
-                                    },
-                                );
-                            }
-                            let (winner, clearing) = match traced.decision.outcome {
-                                adplatform::auction::AuctionOutcome::Won { ad, clearing_cpm } => {
-                                    (ad.raw(), clearing_cpm.as_micros())
-                                }
-                                _ => (0, 0),
-                            };
-                            t.event(
-                                span,
-                                TraceEventKind::Auction {
-                                    slot,
-                                    outcome: outcome_tag,
-                                    winner,
-                                    clearing_cpm_micros: clearing,
-                                    advertiser_bids: traced.auction.advertiser_bids,
-                                    background_competitors: traced.auction.background_competitors,
-                                    best_background_cpm_micros: traced
-                                        .auction
-                                        .best_background_cpm
-                                        .as_micros(),
-                                },
-                            );
-                            if let Some(p) = traced.decision.pending.as_ref() {
-                                t.event(
-                                    span,
-                                    TraceEventKind::Billed {
-                                        slot,
-                                        ad: p.ad.raw(),
-                                        price_micros: p.clearing_cpm.as_micros() / 1000,
-                                    },
-                                );
-                            }
                         }
                     }
-                    let decision = traced.decision;
-                    match decision.outcome {
-                        adplatform::auction::AuctionOutcome::Won { .. } => {
-                            batch.stats.won += 1;
-                            tally.won += 1;
-                            let sample = match chain {
-                                Some(t) if tally.won % DELIVERY_SAMPLE == 0 => {
-                                    let mid = Instant::now();
-                                    auction_ns += (mid - t).as_nanos() as u64;
-                                    Some(mid)
-                                }
-                                _ => None,
-                            };
-                            let pending = decision.pending.expect("a win carries an impression");
-                            // The local cap counter must advance immediately
-                            // so later views in this same tick see it; the
-                            // platform's global counter catches up at merge.
-                            self.freq.bump(pending.ad, uid);
-                            if let Some(log) = self.extensions.get_mut(&uid) {
-                                let creative = platform
-                                    .campaigns
-                                    .ad(pending.ad)
-                                    .expect("won ad exists")
-                                    .creative
-                                    .clone();
-                                log.observe(pending.ad, creative, at);
-                                if record {
-                                    tally.treads_observed += 1;
-                                    flight.record(FlightEvent {
-                                        at,
-                                        user: uid,
-                                        seq: user.fseq,
-                                        trace: trace_id.0,
-                                        kind: FlightKind::TreadObserved {
-                                            ad: pending.ad.raw(),
-                                        },
-                                    });
-                                    user.fseq += 1;
-                                }
-                            }
-                            batch.events.push(ShardEvent::Impression {
-                                at,
-                                user: uid,
-                                user_seq: user.seq,
-                                pending,
-                            });
-                            user.seq += 1;
-                            if let Some(mid) = sample {
-                                let end = Instant::now();
-                                delivery_ns += (end - mid).as_nanos() as u64 * DELIVERY_SAMPLE;
-                                chain = Some(end);
-                            }
-                        }
-                        adplatform::auction::AuctionOutcome::LostToBackground => {
-                            batch.stats.lost_to_background += 1;
-                            tally.lost_to_background += 1;
-                        }
-                        adplatform::auction::AuctionOutcome::Unfilled => {
-                            batch.stats.unfilled += 1;
-                            tally.unfilled += 1;
+                    SlotStep::Won { wins } if wins % DELIVERY_SAMPLE == 0 => {
+                        if let Some(t) = chain {
+                            let mid = Instant::now();
+                            auction_ns += (mid - t).as_nanos() as u64;
+                            sample = Some(mid);
                         }
                     }
-                }
-                if let Some(t) = trace.take() {
+                    SlotStep::Delivered { ad, observed } => {
+                        if observed {
+                            tally.treads_observed += 1;
+                            journal(FlightKind::TreadObserved { ad: ad.raw() });
+                        }
+                        if let Some(mid) = sample.take() {
+                            let end = Instant::now();
+                            delivery_ns += (end - mid).as_nanos() as u64 * DELIVERY_SAMPLE;
+                            chain = Some(end);
+                        }
+                    }
+                    _ => {}
+                };
+                self.decider.decide_view(
+                    platform,
+                    budget,
+                    PageView {
+                        at,
+                        user: uid,
+                        site,
+                    },
+                    &mut user.viewer,
+                    &mut matched,
+                    &mut batch.events,
+                    &mut batch.stats,
+                    trace.as_mut().zip(root),
+                    |step| {
+                        if record {
+                            recorded(step);
+                        }
+                    },
+                );
+                if let Some(t) = trace {
                     batch.traces.push(t);
                 }
             }
+            tally.match_sets += u64::from(matched);
             if let Some(t) = chain {
                 auction_ns += t.elapsed().as_nanos() as u64;
             }
         }
         if record {
             let reg = &mut batch.telemetry;
-            reg.add("engine.page_views", tally.page_views);
+            reg.add("engine.page_views", batch.page_views);
             reg.add("eligibility.considered", tally.considered);
             reg.add("eligibility.not_servable", tally.not_servable);
             reg.add("eligibility.suspended", tally.suspended);
             reg.add("eligibility.over_budget", tally.over_budget);
             reg.add("eligibility.frequency_capped", tally.frequency_capped);
             reg.add("eligibility.targeting_mismatch", tally.targeting_mismatch);
-            reg.add("auction.won", tally.won);
-            reg.add("auction.lost_to_background", tally.lost_to_background);
-            reg.add("auction.unfilled", tally.unfilled);
+            reg.add("auction.won", batch.stats.won);
+            reg.add("auction.lost_to_background", batch.stats.lost_to_background);
+            reg.add("auction.unfilled", batch.stats.unfilled);
             reg.add("delivery.cap_rejections", tally.cap_rejections);
             reg.add("treads.observed", tally.treads_observed);
             reg.add("index.candidates", tally.index_candidates);
@@ -696,43 +564,15 @@ impl ShardState {
     /// untouched. Skipped events are never merged, and every later event
     /// has a strictly later `at`, so reusing the skipped events' sequence
     /// numbers cannot collide in the `(at, user, user_seq)` merge key.
+    /// Page views of unknown sites are skipped without counting, exactly
+    /// as [`Self::run_tick`] skips them without simulating.
     pub fn skip_tick(&mut self, sites: &SiteRegistry, tick_end: SimTime) -> LostWork {
         let mut lost = LostWork {
             shard: self.index,
             ..LostWork::default()
         };
-        for (ui, user) in self.users.iter_mut().enumerate() {
-            loop {
-                if user.buf_pos == user.buf.len() {
-                    if user.gen_days >= self.session.days
-                        || user.gen_days * DAY_MS >= tick_end.millis()
-                    {
-                        break;
-                    }
-                    user.buf = SessionSchedule::generate_day_for_user(
-                        user.id,
-                        &self.site_ids,
-                        &self.session,
-                        self.seed,
-                        user.gen_days,
-                    );
-                    user.buf_pos = 0;
-                    user.gen_days += 1;
-                    continue;
-                }
-                let BrowsingEvent::PageView { site, at, .. } = user.buf[user.buf_pos];
-                if at >= tick_end {
-                    break;
-                }
-                user.buf_pos += 1;
-                user.consumed += 1;
-                self.dirty[ui] = true;
-                // Unknown sites are skipped without counting, exactly as
-                // `run_tick` skips them without simulating.
-                let site = match sites.get(site) {
-                    Some(s) => s,
-                    None => continue,
-                };
+        for user in &mut self.users {
+            while let Some((_, site)) = user.next_view(&self.days, sites, tick_end) {
                 lost.page_views += 1;
                 lost.pixel_fires += site.pixels.len() as u64;
                 lost.opportunities += u64::from(site.ad_slots_per_view);
@@ -755,8 +595,9 @@ impl ShardState {
         ShardCheckpoint {
             index: self.index as u64,
             users: self.users.iter().map(UserRuntime::cursor).collect(),
-            freq: self.freq.entries(),
+            freq: self.decider.freq.entries(),
             extensions: self
+                .decider
                 .extensions
                 .iter()
                 .map(|(&user, log)| ExtensionSnapshot {
@@ -777,26 +618,23 @@ impl ShardState {
     /// still reset the flags so the next delta is relative to them.
     pub fn take_dirty_cursors(&mut self) -> Vec<(u32, UserCursor)> {
         let mut out = Vec::new();
-        for (ui, user) in self.users.iter().enumerate() {
-            if self.dirty[ui] {
+        for (ui, user) in self.users.iter_mut().enumerate() {
+            if std::mem::take(&mut user.dirty) {
                 out.push((ui as u32, user.cursor()));
             }
-        }
-        for flag in &mut self.dirty {
-            *flag = false;
         }
         out
     }
 
     /// The current frequency-cap count for `(ad, user)` on this shard.
     pub fn freq_count(&self, ad: adsim_types::AdId, user: UserId) -> u32 {
-        self.freq.count(ad, user)
+        self.decider.freq.count(ad, user)
     }
 
     /// The extension logs of this shard's Treads users (delta checkpoints
     /// read append-only suffixes out of them).
     pub fn extensions(&self) -> &BTreeMap<UserId, ExtensionLog> {
-        &self.extensions
+        &self.decider.extensions
     }
 
     /// Restores the replayable state frozen by [`Self::export_cursors`]
@@ -837,14 +675,8 @@ impl ShardState {
             }
             let mut remaining = frozen.cursor;
             let mut window = (Vec::new(), 0usize, 0u64);
-            for day in 0..self.session.days {
-                let events = SessionSchedule::generate_day_for_user(
-                    user.id,
-                    &self.site_ids,
-                    &self.session,
-                    self.seed,
-                    day,
-                );
+            for day in 0..self.days.session.days {
+                let events = self.days.day(user.id, day);
                 if remaining < events.len() as u64 {
                     window = (events, remaining as usize, day + 1);
                     remaining = 0;
@@ -861,11 +693,12 @@ impl ShardState {
             }
             windows.push(window);
         }
-        if cp.extensions.len() != self.extensions.len()
+        let extensions = &mut self.decider.extensions;
+        if cp.extensions.len() != extensions.len()
             || cp
                 .extensions
                 .iter()
-                .any(|e| !self.extensions.contains_key(&e.user))
+                .any(|e| !extensions.contains_key(&e.user))
         {
             return Err(adsim_types::Error::invalid(format!(
                 "checkpoint extension-user set does not match host shard {}",
@@ -875,19 +708,17 @@ impl ShardState {
         for ((user, frozen), (buf, buf_pos, gen_days)) in
             self.users.iter_mut().zip(&cp.users).zip(windows)
         {
-            user.rng = StdRng::restore(frozen.rng);
+            user.viewer.rng = StdRng::restore(frozen.rng);
+            user.viewer.seq = frozen.seq;
             user.buf = buf;
             user.buf_pos = buf_pos;
             user.gen_days = gen_days;
             user.consumed = frozen.cursor;
-            user.seq = frozen.seq;
             user.fseq = frozen.fseq;
+            user.dirty = false;
         }
-        for flag in &mut self.dirty {
-            *flag = false;
-        }
-        self.freq.restore_entries(&cp.freq);
-        self.extensions = cp
+        self.decider.freq.restore_entries(&cp.freq);
+        *extensions = cp
             .extensions
             .iter()
             .map(|e| {
@@ -902,6 +733,6 @@ impl ShardState {
 
     /// Consumes the shard, yielding its users' extension logs.
     pub fn into_extensions(self) -> BTreeMap<UserId, ExtensionLog> {
-        self.extensions
+        self.decider.extensions
     }
 }

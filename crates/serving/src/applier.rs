@@ -171,6 +171,7 @@ pub(crate) fn run_applier(
             telemetry.count("auction.lost_to_background", batch.stats.lost_to_background);
             telemetry.count("auction.unfilled", batch.stats.unfilled);
             telemetry.count("targeting.match_sets", batch.match_sets);
+            telemetry.count("targeting.compiled_evals", batch.compiled_evals);
             telemetry.count("faults.injected", batch.injected);
             telemetry.count("faults.recovered", batch.recovered);
             telemetry.count("faults.unrecoverable", batch.unrecoverable);

@@ -744,4 +744,51 @@ mod tests {
         });
         assert_eq!(outcome.report.served, 1);
     }
+
+    /// A recoverable crash replays part of the tick's first micro-batch
+    /// against real state and rolls it back, so the targeting counters a
+    /// worker hands the applier equal a fault-free run's.
+    #[test]
+    fn crash_replays_roll_back_their_targeting_counts() {
+        let counts = |faults: FaultPlan| {
+            let (mut p, sites, users) = scenario(4);
+            let options = ResilienceOptions {
+                faults,
+                ..ResilienceOptions::default()
+            };
+            let mut telemetry = Telemetry::new();
+            let site_ids = sites.ids();
+            let (outcome, ()) = ServingEngine::new(config(2)).serve_with_telemetry(
+                &mut p,
+                &sites,
+                &BTreeSet::new(),
+                &options,
+                &mut telemetry,
+                |frontend| {
+                    for (i, &user) in users.iter().enumerate() {
+                        for (j, &site) in site_ids.iter().enumerate() {
+                            let at = SimTime(1_000 * (i as u64 * 10 + j as u64));
+                            let response = frontend
+                                .submit(OpportunityRequest { user, site, at })
+                                .wait();
+                            assert!(response.is_served());
+                        }
+                    }
+                },
+            );
+            let m = telemetry.metrics();
+            (
+                outcome.faults.recovered,
+                m.counter("targeting.compiled_evals"),
+                m.counter("targeting.match_sets"),
+            )
+        };
+        let (_, evals, sets) = counts(FaultPlan::new());
+        if cfg!(feature = "telemetry") {
+            assert!(evals > 0 && sets > 0, "every slot runs a compiled program");
+        }
+        // Shard 0's first micro-batch dies twice, then succeeds.
+        let crashed = counts(FaultPlan::new().crash_shard(0, 0, 2));
+        assert_eq!(crashed, (1, evals, sets));
+    }
 }

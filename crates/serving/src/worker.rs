@@ -2,30 +2,28 @@
 //!
 //! A worker owns exactly the state its batch-engine twin
 //! ([`treads_engine::ShardState`]) owns — its users' auction RNGs and
-//! sequence counters, its frequency-cap counters, its extension logs — and
-//! replicates the per-page-view logic of `ShardState::run_tick` one
-//! request at a time: pixels first (each advancing the user's `seq`),
-//! then one stage-1 match set per request and one decide per ad slot
-//! from it, against the tick's frozen budget snapshot, with wins bumping
-//! the local frequency cap immediately and queueing an `Impression` event
-//! for the tick-close fold. Because the replicated logic and the owned
-//! state are identical, a serving tick's event batch is byte-identical
-//! to the batch engine's for the same opportunities.
+//! sequence counters ([`Viewer`]), its frequency-cap counters and
+//! extension logs ([`ViewDecider`]) — and decides each request's page
+//! view with the routine the batch shards run,
+//! [`ViewDecider::decide_view`], against the tick's frozen budget
+//! snapshot, with one stage-1 match set per request. Because the decide
+//! code and the owned state are the same, a serving tick's event batch
+//! is byte-identical to the batch engine's for the same opportunities.
+//! The worker adds only what serving needs: the `request` root span,
+//! span wall times, and the response's ad list.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adplatform::auction::AuctionOutcome;
 use adplatform::billing::BudgetSnapshot;
-use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet};
+use adplatform::delivery::{DeliveryStats, FrequencyCaps};
 use adplatform::Platform;
 use adsim_types::{SimTime, UserId};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use treads_engine::{auction_rng, ShardEvent};
+use treads_engine::{PageView, ShardEvent, SlotStep, ViewDecider, Viewer};
 use treads_resilience::{FaultPlan, LostWork};
 use treads_telemetry::{Histogram, RequestTrace, TraceConfig, TraceEventKind, TraceId, SHED_SEQ};
 use treads_workload::ShardPlan;
@@ -73,6 +71,8 @@ pub(crate) struct TickBatch {
     pub page_views: u64,
     /// Stage-1 match sets built this tick (one per request with slots).
     pub match_sets: u64,
+    /// Compiled targeting checks, summed over every slot's census.
+    pub compiled_evals: u64,
     /// Requests this worker answered this tick (served + shed).
     pub requests: u64,
     pub shed: u64,
@@ -117,6 +117,7 @@ struct TickAcc {
     stats: DeliveryStats,
     page_views: u64,
     match_sets: u64,
+    compiled_evals: u64,
     requests: u64,
     shed: u64,
     shed_failure: u64,
@@ -139,6 +140,7 @@ impl TickAcc {
             stats: DeliveryStats::default(),
             page_views: 0,
             match_sets: 0,
+            compiled_evals: 0,
             requests: 0,
             shed: 0,
             shed_failure: 0,
@@ -156,27 +158,17 @@ impl TickAcc {
     }
 }
 
-/// One user's serving state: the same `(rng, seq)` pair its batch-engine
-/// runtime owns, created lazily on the user's first request.
-#[derive(Clone)]
-struct UserServe {
-    /// Auction randomness: [`treads_engine::auction_rng`] of the master
-    /// seed — the identical stream the batch engine draws from.
-    rng: StdRng,
-    /// Per-user event counter; becomes the `user_seq` merge-key component.
-    seq: u64,
-}
-
 /// The user-owned state a crash attempt may half-mutate, frozen at
 /// micro-batch start so failing attempts can be rolled back byte-exactly.
 struct BatchSnapshot {
-    users: BTreeMap<UserId, UserServe>,
+    users: BTreeMap<UserId, Viewer>,
     freq: FrequencyCaps,
     extensions: BTreeMap<UserId, ExtensionLog>,
     events_len: usize,
     stats: DeliveryStats,
     page_views: u64,
     match_sets: u64,
+    compiled_evals: u64,
     /// Traces, like events, are truncated back to the snapshot length
     /// when a crash attempt rolls back.
     traces_len: usize,
@@ -234,13 +226,11 @@ struct Worker<'a, 'p> {
     depth: Arc<AtomicU64>,
     budget: Arc<BudgetSnapshot>,
     batcher: MicroBatcher<Envelope>,
-    users: BTreeMap<UserId, UserServe>,
-    freq: FrequencyCaps,
-    extensions: BTreeMap<UserId, ExtensionLog>,
-    /// Stage 1 of the request being served, rebuilt per request: the
-    /// worker interleaves users, so only a request's own slots share it.
-    match_set: MatchSet,
-    scratch: DeliveryScratch,
+    /// Each user's decide state, created on the user's first request
+    /// from the same [`Viewer::new`] the batch engine starts from.
+    users: BTreeMap<UserId, Viewer>,
+    /// Frequency caps, extension logs and the decide's working memory.
+    decider: ViewDecider,
     trace: TraceConfig,
     tick_index: u64,
     /// Set when this tick's crash exhausted the retry budget: every
@@ -282,10 +272,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             budget: ctx.budget,
             batcher: MicroBatcher::new(ctx.max_batch, ctx.max_delay),
             users: BTreeMap::new(),
-            freq: FrequencyCaps::new(frequency_cap),
-            extensions,
-            match_set: MatchSet::default(),
-            scratch: DeliveryScratch::new(),
+            decider: ViewDecider::new(frequency_cap, extensions),
             trace: ctx.trace,
             tick_index: 0,
             tick_degraded: false,
@@ -360,7 +347,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             }
         }
         WorkerResult {
-            extensions: self.extensions,
+            extensions: self.decider.extensions,
         }
     }
 
@@ -476,10 +463,10 @@ impl<'a, 'p> Worker<'a, 'p> {
         };
         self.acc.page_views += 1;
         let seed = self.seed;
-        let user = self.users.entry(req.user).or_insert_with(|| UserServe {
-            rng: auction_rng(seed, req.user),
-            seq: 0,
-        });
+        let user = self
+            .users
+            .entry(req.user)
+            .or_insert_with(|| Viewer::new(seed, req.user));
         // The trace id is keyed on the page view's first merge key —
         // `user.seq` before pixels consume any — the identical derivation
         // the batch engine's shard uses, so ids are shard-count-invariant
@@ -516,142 +503,41 @@ impl<'a, 'p> Worker<'a, 'p> {
             t.set_span_wall(wait, 0, env.accepted.elapsed().as_nanos() as u64);
             root
         });
-        for &pixel in &site.pixels {
-            if let (Some(t), Some(root)) = (trace.as_mut(), root) {
-                t.event(root, TraceEventKind::PixelFired { pixel: pixel.raw() });
-            }
-            self.acc.events.push(ShardEvent::PixelFire {
+        let mut ads = Vec::with_capacity(usize::from(site.ad_slots_per_view));
+        // The read lock holds the platform and the tick's budget snapshot
+        // still, but the worker interleaves users, so one stage-1 build
+        // serves the slots of this request only.
+        let mut matched = false;
+        let mut decide_start = 0;
+        self.decider.decide_view(
+            platform,
+            self.budget.as_ref(),
+            PageView {
                 at: req.at,
                 user: req.user,
-                user_seq: user.seq,
-                pixel,
-            });
-            user.seq += 1;
-        }
-        let mut ads = Vec::with_capacity(usize::from(site.ad_slots_per_view));
-        for slot in 0..u32::from(site.ad_slots_per_view) {
-            self.acc.stats.opportunities += 1;
-            let decide_start = trace
-                .is_some()
-                .then(|| env.accepted.elapsed().as_nanos() as u64);
-            if slot == 0 {
-                // The read lock holds the platform and the tick's budget
-                // snapshot still, so one stage-1 build serves every slot
-                // of the request.
-                platform
-                    .match_set_into(req.user, self.budget.as_ref(), &mut self.match_set)
-                    .expect("user profile was checked above");
-                self.acc.match_sets += 1;
-            }
-            let traced = platform.decide_slot(
-                &self.match_set,
-                req.at,
-                &self.freq,
-                &mut user.rng,
-                &mut self.scratch,
-            );
-            if let Some(t) = trace.as_mut() {
-                let span = t.span("decide_slot", root, req.at);
-                if let Some(start) = decide_start {
-                    let end = env.accepted.elapsed().as_nanos() as u64;
-                    t.set_span_wall(span, start, end.saturating_sub(start));
+                site,
+            },
+            user,
+            &mut matched,
+            &mut self.acc.events,
+            &mut self.acc.stats,
+            trace.as_mut().zip(root),
+            |step| match step {
+                SlotStep::Start if sampled => {
+                    decide_start = env.accepted.elapsed().as_nanos() as u64;
                 }
-                let b = traced.breakdown;
-                t.event(
-                    span,
-                    TraceEventKind::Slot {
-                        slot,
-                        considered: b.considered,
-                        index_pruned: b.index_pruned,
-                        not_servable: b.not_servable,
-                        suspended: b.suspended,
-                        over_budget: b.over_budget,
-                        frequency_capped: b.frequency_capped,
-                        targeting_mismatch: b.targeting_mismatch,
-                        eligible: b.eligible,
-                        compiled_evals: b.compiled_evals,
-                    },
-                );
-                // Per-candidate verdicts are re-derived (pure, RNG-free)
-                // only for sampled requests, against the same pre-bump
-                // frequency state the decide saw.
-                let verdicts = platform
-                    .candidate_verdicts(req.user, self.budget.as_ref(), &self.freq)
-                    .expect("user profile was checked above");
-                for v in verdicts {
-                    t.event(
-                        span,
-                        TraceEventKind::Candidate {
-                            slot,
-                            ad: v.ad.raw(),
-                            verdict: v.verdict,
-                            bid_cpm_micros: v.bid_cpm.as_micros(),
-                        },
-                    );
-                }
-                let (outcome_tag, winner, clearing) = match traced.decision.outcome {
-                    AuctionOutcome::Won { ad, clearing_cpm } => {
-                        ("won", ad.raw(), clearing_cpm.as_micros())
+                SlotStep::Decided { decision, trace } => {
+                    self.acc.compiled_evals += u64::from(decision.breakdown.compiled_evals);
+                    if let Some((t, span)) = trace {
+                        let end = env.accepted.elapsed().as_nanos() as u64;
+                        t.set_span_wall(span, decide_start, end.saturating_sub(decide_start));
                     }
-                    AuctionOutcome::LostToBackground => ("lost_to_background", 0, 0),
-                    AuctionOutcome::Unfilled => ("unfilled", 0, 0),
-                };
-                t.event(
-                    span,
-                    TraceEventKind::Auction {
-                        slot,
-                        outcome: outcome_tag,
-                        winner,
-                        clearing_cpm_micros: clearing,
-                        advertiser_bids: traced.auction.advertiser_bids,
-                        background_competitors: traced.auction.background_competitors,
-                        best_background_cpm_micros: traced.auction.best_background_cpm.as_micros(),
-                    },
-                );
-                if let Some(p) = traced.decision.pending.as_ref() {
-                    t.event(
-                        span,
-                        TraceEventKind::Billed {
-                            slot,
-                            ad: p.ad.raw(),
-                            price_micros: p.clearing_cpm.as_micros() / 1000,
-                        },
-                    );
                 }
-            }
-            match traced.decision.outcome {
-                AuctionOutcome::Won { .. } => {
-                    self.acc.stats.won += 1;
-                    let pending = traced
-                        .decision
-                        .pending
-                        .expect("a win carries an impression");
-                    // The local cap counter advances immediately so later
-                    // requests this tick see it; the platform's global
-                    // counter catches up at the tick-close fold.
-                    self.freq.bump(pending.ad, req.user);
-                    if let Some(log) = self.extensions.get_mut(&req.user) {
-                        let creative = platform
-                            .campaigns
-                            .ad(pending.ad)
-                            .expect("won ad exists")
-                            .creative
-                            .clone();
-                        log.observe(pending.ad, creative, req.at);
-                    }
-                    self.acc.events.push(ShardEvent::Impression {
-                        at: req.at,
-                        user: req.user,
-                        user_seq: user.seq,
-                        pending,
-                    });
-                    user.seq += 1;
-                    ads.push(pending.ad);
-                }
-                AuctionOutcome::LostToBackground => self.acc.stats.lost_to_background += 1,
-                AuctionOutcome::Unfilled => self.acc.stats.unfilled += 1,
-            }
-        }
+                SlotStep::Delivered { ad, .. } => ads.push(ad),
+                _ => {}
+            },
+        );
+        self.acc.match_sets += u64::from(matched);
         if let Some(mut t) = trace.take() {
             if let Some(root) = root {
                 t.set_span_wall(root, 0, env.accepted.elapsed().as_nanos() as u64);
@@ -738,12 +624,13 @@ impl<'a, 'p> Worker<'a, 'p> {
     fn snapshot(&self) -> BatchSnapshot {
         BatchSnapshot {
             users: self.users.clone(),
-            freq: self.freq.clone(),
-            extensions: self.extensions.clone(),
+            freq: self.decider.freq.clone(),
+            extensions: self.decider.extensions.clone(),
             events_len: self.acc.events.len(),
             stats: self.acc.stats,
             page_views: self.acc.page_views,
             match_sets: self.acc.match_sets,
+            compiled_evals: self.acc.compiled_evals,
             traces_len: self.acc.traces.len(),
             trace_keys_len: self.acc.trace_keys.len(),
         }
@@ -751,12 +638,13 @@ impl<'a, 'p> Worker<'a, 'p> {
 
     fn restore(&mut self, snapshot: &BatchSnapshot) {
         self.users = snapshot.users.clone();
-        self.freq = snapshot.freq.clone();
-        self.extensions = snapshot.extensions.clone();
+        self.decider.freq = snapshot.freq.clone();
+        self.decider.extensions = snapshot.extensions.clone();
         self.acc.events.truncate(snapshot.events_len);
         self.acc.stats = snapshot.stats;
         self.acc.page_views = snapshot.page_views;
         self.acc.match_sets = snapshot.match_sets;
+        self.acc.compiled_evals = snapshot.compiled_evals;
         self.acc.traces.truncate(snapshot.traces_len);
         self.acc.trace_keys.truncate(snapshot.trace_keys_len);
     }
@@ -772,6 +660,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             stats: acc.stats,
             page_views: acc.page_views,
             match_sets: acc.match_sets,
+            compiled_evals: acc.compiled_evals,
             requests: acc.requests,
             shed: acc.shed,
             shed_failure: acc.shed_failure,
