@@ -117,7 +117,7 @@ pub struct Campaign {
 /// Store of campaigns and ads.
 ///
 /// Alongside the primary maps the store maintains a
-/// [`TargetingIndex`] filing every ad under its anchor signal at
+/// [`TargetingIndex`] filing every ad under its conjunct groups at
 /// creation; stage 1 of the delivery filter chain
 /// ([`crate::delivery::MatchSet`]) consults it (or not, per
 /// [`SelectionMode`]) to avoid scanning the whole inventory per
@@ -189,7 +189,8 @@ impl CampaignStore {
     /// The targeting spec is lowered into the [`ProgramArena`] here, interning
     /// its state/ZIP strings into `symbols` — pass the platform's shared
     /// table (the one its profile store interns through) so compiled geo
-    /// compares line up with profile facets.
+    /// compares and the index's postings line up with profile facets. The
+    /// same pass yields the conjunct groups the ad is indexed under.
     pub fn create_ad(
         &mut self,
         campaign: CampaignId,
@@ -204,12 +205,12 @@ impl CampaignStore {
         self.next_ad += 1;
         let id = AdId(self.next_ad);
         camp.ads.push(id);
-        self.index.insert(id, &targeting);
         debug_assert_eq!(self.compiled.len() as u64 + 1, self.next_ad);
         debug_assert_eq!(self.ads.len() as u64 + 1, self.next_ad);
         debug_assert_eq!(self.spec_digests.len() as u64 + 1, self.next_ad);
         self.spec_digests.push(targeting.digest());
-        self.compiled.push(&targeting, symbols);
+        let groups = self.compiled.push(&targeting, symbols);
+        self.index.insert(id, &groups);
         self.ads.push(Ad {
             id,
             campaign,

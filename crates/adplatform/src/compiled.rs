@@ -38,9 +38,10 @@
 //! `tests/eval_equivalence.rs` hold them to it.
 
 use crate::audience::AudienceResolver;
+use crate::index::{ConjunctGroup, ConjunctKey};
 use crate::profile::{Gender, UserProfile};
 use crate::targeting::{haversine_km, TargetingExpr, TargetingSpec};
-use adsim_types::{AudienceId, Symbol, SymbolTable};
+use adsim_types::{AttributeId, AudienceId, Symbol, SymbolTable};
 
 /// How the delivery filter chain (stage 1, [`crate::delivery::MatchSet`])
 /// evaluates a candidate ad's targeting spec.
@@ -116,6 +117,23 @@ enum CompiledOp {
     Not,
 }
 
+impl CompiledOp {
+    /// The index key a keyable leaf op tests for, read back from its
+    /// already-interned operand; `None` for every other op.
+    fn key(&self) -> Option<ConjunctKey> {
+        match *self {
+            CompiledOp::Attr { word, mask } => Some(ConjunctKey::Attr(AttributeId(
+                u64::from(word) * 64 + u64::from(mask.trailing_zeros()),
+            ))),
+            CompiledOp::InAudience(a) => Some(ConjunctKey::Audience(a)),
+            CompiledOp::VisitedZip(z) => Some(ConjunctKey::VisitedZip(z)),
+            CompiledOp::ZipEq(z) => Some(ConjunctKey::Zip(z)),
+            CompiledOp::StateEq(s) => Some(ConjunctKey::State(s)),
+            _ => None,
+        }
+    }
+}
+
 /// A targeting spec lowered to a flat short-circuit program (see the
 /// [module docs](self)). Built once per ad at submission by
 /// `crate::campaign::CampaignStore::create_ad`; immutable afterwards,
@@ -132,7 +150,7 @@ impl CompiledSpec {
     /// symbol compares sound.
     pub fn compile(spec: &TargetingSpec, symbols: &mut SymbolTable) -> Self {
         let mut ops = Vec::new();
-        emit_spec(spec, symbols, &mut ops);
+        emit_spec(spec, symbols, &mut ops, &mut Vec::new());
         Self { ops }
     }
 
@@ -179,17 +197,22 @@ impl ProgramArena {
         Self::default()
     }
 
-    /// Compiles `spec` into the arena (interning through `symbols`, the
-    /// store-shared table) and returns the new program's dense id.
-    pub fn push(&mut self, spec: &TargetingSpec, symbols: &mut SymbolTable) -> usize {
+    /// Compiles `spec` into the arena as its next program, interning
+    /// through `symbols` (the store-shared table), and returns the
+    /// conjunct groups of its include expression: the keys
+    /// [`crate::index::TargetingIndex`] files the ad under. The groups
+    /// are read off the ops this pass emits, so each string is interned
+    /// once. The new program's dense id is `len() - 1`.
+    pub fn push(&mut self, spec: &TargetingSpec, symbols: &mut SymbolTable) -> Vec<ConjunctGroup> {
         let start = self.ops.len();
-        emit_spec(spec, symbols, &mut self.ops);
+        let mut groups = Vec::new();
+        emit_spec(spec, symbols, &mut self.ops, &mut groups);
         let len = self.ops.len() - start;
         self.spans.push((
             u32::try_from(start).expect("arena op count fits u32"),
             len as u32,
         ));
-        self.spans.len() - 1
+        groups
     }
 
     /// Number of programs in the arena.
@@ -262,11 +285,16 @@ fn run_ops<A: AudienceResolver>(ops: &[CompiledOp], user: &UserProfile, audience
     acc
 }
 
-/// Emits a whole spec — include ∧ ¬exclude — into `ops`. A failed
-/// include short-circuits past the exclusion, exactly as the tree's `&&`
-/// does.
-fn emit_spec(spec: &TargetingSpec, symbols: &mut SymbolTable, ops: &mut Vec<CompiledOp>) {
-    emit(&spec.include, symbols, ops);
+/// Emits a whole spec — include ∧ ¬exclude — into `ops`, and the include
+/// expression's conjunct groups into `groups`. A failed include
+/// short-circuits past the exclusion, exactly as the tree's `&&` does.
+fn emit_spec(
+    spec: &TargetingSpec,
+    symbols: &mut SymbolTable,
+    ops: &mut Vec<CompiledOp>,
+    groups: &mut Vec<ConjunctGroup>,
+) {
+    emit_conjunct(&spec.include, symbols, ops, groups);
     if let Some(ex) = &spec.exclude {
         let site = ops.len();
         ops.push(CompiledOp::SkipIfFalse(0));
@@ -305,8 +333,8 @@ fn emit(expr: &TargetingExpr, symbols: &mut SymbolTable, ops: &mut Vec<CompiledO
             km: *km,
         }),
         TargetingExpr::InAudience(a) => ops.push(CompiledOp::InAudience(*a)),
-        TargetingExpr::And(subs) => emit_connective(subs, true, symbols, ops),
-        TargetingExpr::Or(subs) => emit_connective(subs, false, symbols, ops),
+        TargetingExpr::And(subs) => emit_connective(subs, true, symbols, ops, None),
+        TargetingExpr::Or(subs) => emit_connective(subs, false, symbols, ops, None),
         TargetingExpr::Not(sub) => {
             emit(sub, symbols, ops);
             ops.push(CompiledOp::Not);
@@ -314,16 +342,58 @@ fn emit(expr: &TargetingExpr, symbols: &mut SymbolTable, ops: &mut Vec<CompiledO
     }
 }
 
+/// True for the leaves an index key can stand for.
+fn is_keyable_leaf(expr: &TargetingExpr) -> bool {
+    matches!(
+        expr,
+        TargetingExpr::Attr(_)
+            | TargetingExpr::InAudience(_)
+            | TargetingExpr::VisitedZip(_)
+            | TargetingExpr::InZip(_)
+            | TargetingExpr::InState(_)
+    )
+}
+
+/// Emits an And-level conjunct of the include expression — the root, or
+/// an operand of an `And` reached from it through `And`s alone — and
+/// records its conjunct group (see [`crate::index`]): a keyable leaf is a
+/// group of one key, an `Or` of keyable leaves a group of its disjuncts'
+/// keys. An `And` hands the role on to its operands; every other conjunct
+/// records nothing.
+fn emit_conjunct(
+    expr: &TargetingExpr,
+    symbols: &mut SymbolTable,
+    ops: &mut Vec<CompiledOp>,
+    groups: &mut Vec<ConjunctGroup>,
+) {
+    if let TargetingExpr::And(subs) = expr {
+        return emit_connective(subs, true, symbols, ops, Some(groups));
+    }
+    let start = ops.len();
+    emit(expr, symbols, ops);
+    let keyable = match expr {
+        TargetingExpr::Or(subs) => !subs.is_empty() && subs.iter().all(is_keyable_leaf),
+        leaf => is_keyable_leaf(leaf),
+    };
+    if keyable {
+        // Only leaf ops and the `Or`'s skips were emitted; the skips
+        // carry no key.
+        groups.push(ops[start..].iter().filter_map(CompiledOp::key).collect());
+    }
+}
+
 /// Emits an `And` (`conjunction == true`) or `Or` connective: operands in
 /// order, each but the last followed by a skip op backpatched to the end
 /// of the connective. An empty connective is its identity element
 /// (vacuous truth for `And`, vacuous falsity for `Or`), matching the
-/// tree's `all()`/`any()` on an empty list.
+/// tree's `all()`/`any()` on an empty list. With `groups`, the connective
+/// is an And-level `And` and its operands are conjuncts.
 fn emit_connective(
     subs: &[TargetingExpr],
     conjunction: bool,
     symbols: &mut SymbolTable,
     ops: &mut Vec<CompiledOp>,
+    mut groups: Option<&mut Vec<ConjunctGroup>>,
 ) {
     if subs.is_empty() {
         ops.push(if conjunction {
@@ -335,7 +405,10 @@ fn emit_connective(
     }
     let mut sites = Vec::new();
     for (i, sub) in subs.iter().enumerate() {
-        emit(sub, symbols, ops);
+        match groups.as_deref_mut() {
+            Some(groups) => emit_conjunct(sub, symbols, ops, groups),
+            None => emit(sub, symbols, ops),
+        }
         if i + 1 < subs.len() {
             sites.push(ops.len());
             ops.push(CompiledOp::SkipIfFalse(0)); // placeholder, backpatched
@@ -500,7 +573,8 @@ mod tests {
         ];
         let mut arena = ProgramArena::new();
         for (i, spec) in specs.iter().enumerate() {
-            assert_eq!(arena.push(spec, store.symbols_mut()), i);
+            arena.push(spec, store.symbols_mut());
+            assert_eq!(arena.len(), i + 1);
         }
         assert_eq!(arena.len(), specs.len());
         let a = store.register(30, Gender::Female, "Ohio", "43004");

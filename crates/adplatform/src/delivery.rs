@@ -6,7 +6,7 @@
 //! 1. collects the **eligible** ads — approved, account active, campaign
 //!    within budget, under the per-user frequency cap, and whose targeting
 //!    spec matches the user (the delivery contract). Candidates come
-//!    either from the [`crate::index`] inverted targeting index (the
+//!    either from the [`crate::index`] counting targeting index (the
 //!    default — per-opportunity cost proportional to plausibly-matching
 //!    ads) or from a linear scan of the whole store (the verification
 //!    oracle); both produce identical bids;
@@ -43,7 +43,7 @@ use crate::audience::AudienceStore;
 use crate::billing::{BillingLedger, BudgetView};
 use crate::campaign::{Ad, CampaignStore};
 use crate::compiled::EvalMode;
-use crate::index::SelectionMode;
+use crate::index::{CountingBuffer, SelectionMode};
 use crate::profile::UserProfile;
 use crate::reporting::{Impression, ImpressionLog};
 use adsim_types::hash::mix64;
@@ -194,9 +194,13 @@ pub struct Decision {
 /// examined; the rest — ads whose targeting provably cannot match this
 /// user — land in `index_pruned`, so
 /// `considered + index_pruned == ad_count`. Pruning never changes the
-/// bids: a pruned ad lacks a signal its include expression requires, so
-/// it would have been filtered (at `targeting_mismatch` or earlier)
-/// anyway.
+/// bids: a pruned ad misses every key of one of its conjunct groups (a
+/// conjunct its include expression requires), so it would have been
+/// filtered (at `targeting_mismatch` or earlier) anyway. Because the
+/// index prunes on every such group, an ad that fails one of them lands
+/// in `index_pruned`, not `targeting_mismatch`: what reaches the
+/// targeting filter fails only the unindexed part of its expression
+/// (ages, genders, radii, negations, mixed `Or`s, exclusions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EligibilityBreakdown {
     /// Ads examined by the filter chain (the whole store under
@@ -215,7 +219,7 @@ pub struct EligibilityBreakdown {
     pub targeting_mismatch: u32,
     /// Survived every filter and entered a bid.
     pub eligible: u32,
-    /// Skipped without examination: the inverted index proved the ad's
+    /// Skipped without examination: the counting index proved the ad's
     /// targeting cannot match this user. Always zero under
     /// [`SelectionMode::LinearScan`].
     pub index_pruned: u32,
@@ -336,12 +340,13 @@ fn cap_filter(bid: Bid, user: UserId, freq: &FrequencyCaps) -> Result<Bid, Rejec
 /// Runs `examine` on every ad the filter chain looks at for `user`, in
 /// ascending ad-id order — the whole store under
 /// [`SelectionMode::LinearScan`], the index's candidates (collected into
-/// `candidates`) under [`SelectionMode::Indexed`] — and returns how many
-/// ads the index pruned.
+/// `candidates`, counted in `counts`) under [`SelectionMode::Indexed`] —
+/// and returns how many ads the index pruned.
 fn for_each_examined(
     user: &UserProfile,
     campaigns: &CampaignStore,
     audiences: &AudienceStore,
+    counts: &mut CountingBuffer,
     candidates: &mut Vec<AdId>,
     mut examine: impl FnMut(&Ad),
 ) -> u32 {
@@ -357,7 +362,7 @@ fn for_each_examined(
             // identical to the linear scan's.
             campaigns
                 .index()
-                .candidates_into(user, audiences, candidates);
+                .candidates_with(user, audiences, counts, candidates);
             for id in candidates.iter() {
                 examine(campaigns.ad(*id).expect("indexed ads exist in the store"));
             }
@@ -388,6 +393,8 @@ fn for_each_examined(
 pub struct MatchSet {
     /// The user the set was built for.
     user: UserId,
+    /// The index's counting buffer (unused under linear scan).
+    counts: CountingBuffer,
     /// Candidate ad ids from the index (unused under linear scan).
     candidates: Vec<AdId>,
     /// Bids of the ads that passed every stage-1 filter, ascending ad id.
@@ -401,6 +408,7 @@ impl Default for MatchSet {
     fn default() -> Self {
         Self {
             user: UserId(0),
+            counts: CountingBuffer::default(),
             candidates: Vec::new(),
             bids: Vec::new(),
             census: EligibilityBreakdown::default(),
@@ -419,6 +427,7 @@ pub(crate) fn match_set_into<B: BudgetView>(
 ) {
     let MatchSet {
         user: owner,
+        counts,
         candidates,
         bids,
         census,
@@ -427,7 +436,7 @@ pub(crate) fn match_set_into<B: BudgetView>(
     bids.clear();
     *census = EligibilityBreakdown::default();
     let eval = campaigns.eval_mode();
-    let index_pruned = for_each_examined(user, campaigns, audiences, candidates, |ad| {
+    let index_pruned = for_each_examined(user, campaigns, audiences, counts, candidates, |ad| {
         census.considered += 1;
         let filtered = frozen_filters(
             ad,
@@ -622,24 +631,32 @@ pub fn candidate_verdicts<B: BudgetView>(
 ) -> Vec<CandidateVerdict> {
     let eval = campaigns.eval_mode();
     let mut verdicts = Vec::new();
-    for_each_examined(user, campaigns, audiences, &mut Vec::new(), |ad| {
-        let filtered = frozen_filters(
-            ad, user, campaigns, audiences, suspended, billing, eval, &mut 0,
-        )
-        .and_then(|bid| cap_filter(bid, user.id, freq));
-        verdicts.push(match filtered {
-            Ok(bid) => CandidateVerdict {
-                ad: ad.id,
-                verdict: "eligible",
-                bid_cpm: bid.cpm,
-            },
-            Err(rejection) => CandidateVerdict {
-                ad: ad.id,
-                verdict: rejection.label(),
-                bid_cpm: Money::ZERO,
-            },
-        });
-    });
+    let mut counts = CountingBuffer::default();
+    for_each_examined(
+        user,
+        campaigns,
+        audiences,
+        &mut counts,
+        &mut Vec::new(),
+        |ad| {
+            let filtered = frozen_filters(
+                ad, user, campaigns, audiences, suspended, billing, eval, &mut 0,
+            )
+            .and_then(|bid| cap_filter(bid, user.id, freq));
+            verdicts.push(match filtered {
+                Ok(bid) => CandidateVerdict {
+                    ad: ad.id,
+                    verdict: "eligible",
+                    bid_cpm: bid.cpm,
+                },
+                Err(rejection) => CandidateVerdict {
+                    ad: ad.id,
+                    verdict: rejection.label(),
+                    bid_cpm: Money::ZERO,
+                },
+            });
+        },
+    );
     verdicts
 }
 
@@ -1072,7 +1089,7 @@ mod tests {
         let everyone = TargetingSpec::including(TargetingExpr::Everyone);
         approved_ad(&mut r, 1, Money::dollars(10), everyone.clone());
         approved_ad(&mut r, 2, Money::dollars(5), everyone);
-        // Anchored on an attribute the user lacks: the index proves it
+        // Indexed under an attribute the user lacks: the index proves it
         // cannot match and never hands it to the filter chain.
         approved_ad(
             &mut r,
@@ -1132,7 +1149,7 @@ mod tests {
                 TargetingExpr::InState("Texas".into()),
             ])),
         );
-        // Anchored on a ZIP the user has never touched: index-pruned.
+        // Indexed under a ZIP the user has never touched: index-pruned.
         approved_ad(
             &mut r,
             2,
@@ -1269,7 +1286,7 @@ mod tests {
         /// suspended account (4), spent budget, unspent one-impression
         /// budget, unanchored targeting miss (no user holds attribute 6),
         /// targeting hit (every user holds attribute 1), the ad bumped to
-        /// the cap before the first slot, and a ZIP-anchored miss the
+        /// the cap before the first slot, and a miss on a ZIP group the
         /// index prunes. Account 5 is never suspended.
         const BASE: [AdShape; 8] = [
             (5, 5, 0, 0, (0, 1)),
@@ -1294,7 +1311,7 @@ mod tests {
                 1 => TargetingSpec::including(held()),
                 2 => TargetingSpec::including(TargetingExpr::Or(vec![
                     held(),
-                    TargetingExpr::InState("Ohio".into()),
+                    TargetingExpr::GenderIs(Gender::Male),
                 ])),
                 3 => TargetingSpec::including(TargetingExpr::And(vec![
                     held(),

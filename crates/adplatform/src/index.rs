@@ -1,30 +1,58 @@
-//! The inverted targeting index: signal → candidate ads.
+//! The counting targeting index: signals → candidate ads.
 //!
-//! The delivery filter chain ([`crate::delivery::MatchSet`]) historically
-//! scanned **every** ad in the store for **every** impression opportunity,
-//! so per-opportunity cost grew linearly with inventory size — the dominant
-//! term in the engine's auction phase once inventories reach the
-//! thousands. [`TargetingIndex`] inverts that relationship: each ad is
-//! filed under an **anchor key** derived from its targeting expression (an
-//! attribute, audience, ZIP, or state the user *must* have for the ad to
-//! match), and an opportunity only examines the ads filed under the
-//! signals its user actually carries, plus a catch-all list of ads whose
-//! expressions admit no anchor. Cost becomes proportional to *plausibly
-//! matching* ads, not *all* ads.
+//! Stage 1 of the delivery filter chain ([`crate::delivery::MatchSet`])
+//! evaluates the targeting program of every ad it examines. Scanning the
+//! whole store makes that cost linear in the inventory; [`TargetingIndex`]
+//! hands the chain only the ads for which the user carries **every**
+//! necessary signal of the include expression, plus a catch-all list of
+//! ads that have no such signal. It is the counting algorithm for
+//! conjunctive Boolean-expression indexes (Whang et al., "Indexing Boolean
+//! Expressions", VLDB 2009), keyed on the platform's interned symbols.
+//!
+//! # Conjunct groups
+//!
+//! A *conjunct* of an include expression is a subexpression reached from
+//! the root through `And` nodes alone. A conjunct forms a **group** when
+//! it is a keyable leaf (an attribute, audience, visited ZIP, home ZIP or
+//! home state) or an `Or` whose every disjunct is a keyable leaf; the
+//! group's keys are those leaves. The compiler reads the groups off the
+//! pass that lowers the spec ([`crate::compiled::ProgramArena::push`]),
+//! so every string is interned once. An ad is filed under each key of its
+//! first 64 groups, as a posting `(ad slot, group)`, and its `required`
+//! mask has one bit per filed group. Ads with no group go on the
+//! unanchored list.
+//!
+//! # Candidates by counting
+//!
+//! A lookup walks the posting lists of the keys the user holds: the set
+//! bits of their attribute bitset, the audiences they belong to, and the
+//! visited-ZIP, home-ZIP and state symbols of their
+//! [`crate::profile::ProfileFacets`]. Each posting sets bit `group` in its
+//! ad's hit mask. An ad is a candidate when its mask equals its
+//! precomputed `required` mask, that is, when the user hit all of its
+//! groups. The masks live in a [`CountingBuffer`] the caller keeps, sized
+//! on demand and left all-zero after every lookup, so a lookup allocates
+//! nothing once the buffer has grown.
 //!
 //! # Soundness (candidate supersets)
 //!
-//! An anchor is only ever extracted from a **positive conjunct** of the
-//! include expression — a leaf reachable from the root through `And`
-//! nodes alone. Such a leaf is a *necessary condition*: if the include
-//! expression matches a user, every And-level conjunct matches, so the
-//! user holds the anchor signal, so the lookup keyed on that signal
-//! returns the ad. Expressions offering no such leaf (`Everyone`,
-//! `Or`/`Not` roots, pure demographic ranges) are unanchored and returned
-//! for every opportunity. The candidate set is therefore always a
-//! superset of the truly matching ads; the unchanged eligibility filter
-//! chain does the exact matching. Exclusion clauses only ever *shrink*
-//! the matching set, so they never participate in anchoring.
+//! If an include expression matches a user, every conjunct matches. A
+//! keyable leaf matches only a user who holds its key, and an `Or` of
+//! keyable leaves only a user who holds one of its keys, so the user hits
+//! every group and the ad is a candidate. `Everyone`, demographic, radius
+//! and `Not` conjuncts, and an `Or` with any such disjunct or with a
+//! nested `And`, can match a user who holds no key: they form no group.
+//! Exclusions only shrink the matching set, so they are never indexed.
+//! The candidate set is therefore a superset of the matching ads, and the
+//! unchanged filter chain does the exact matching.
+//!
+//! # Exactness
+//!
+//! Conversely, every candidate satisfies every group of its ad: the index
+//! prunes on all keyable conjuncts, not on one of them. What reaches
+//! evaluation is the rest of the expression — age and gender ranges,
+//! radii, negations, `Or`s with an unkeyable disjunct, exclusions, and
+//! any groups past the 64th.
 //!
 //! # Determinism (bit-identical to the linear scan)
 //!
@@ -35,19 +63,26 @@
 //! (background competition is sampled first, unconditionally), so
 //! switching selection modes never shifts a single random draw: invoices,
 //! reports, and decoded Treads are byte-identical either way.
-//! `tests/index_equivalence.rs` asserts this across shard counts.
+//! `tests/index_equivalence.rs` asserts this across shard counts and
+//! through a checkpoint resume.
 //!
 //! # Maintenance
 //!
 //! Posting lists are **append-only and status-independent**: an ad is
-//! filed once, at creation, under an anchor derived from its (immutable)
-//! targeting spec. Pausing, policy rejection, budget exhaustion, and
-//! account suspension need **no index writes** — those are per-candidate
-//! checks in the filter chain, exactly as on the linear path — and user
-//! profile mutations need none either, because lookup is driven by the
-//! live profile at decide time. This is what lets the engine's shard
-//! threads share one `&Platform` (and one index) with no locks and no
-//! per-shard reconciliation: during a tick the index is a pure function.
+//! filed once, at creation, under the groups of its (immutable) targeting
+//! spec. Pausing, policy rejection, budget exhaustion, and account
+//! suspension need **no index writes** — those are per-candidate checks
+//! in the filter chain, exactly as on the linear path — and user profile
+//! mutations need none either, because lookup is driven by the live
+//! profile at decide time. This is what lets the engine's shard threads
+//! share one `&Platform` (and one index) with no locks and no per-shard
+//! reconciliation: during a tick the index is a pure function.
+//!
+//! Postings key on symbols of the platform's one
+//! [`adsim_types::SymbolTable`], the table the profile facets intern
+//! through. A resumed run restores that table from its checkpoint; the
+//! restored table extends the one the host's set-up built, so the symbols
+//! the ads were filed under keep their meaning.
 //!
 //! # Example
 //!
@@ -61,19 +96,20 @@
 //! let mut campaigns = CampaignStore::new();
 //! let mut profiles = ProfileStore::new();
 //! let camp = campaigns.create_campaign(AccountId(1), "c", Money::dollars(2), None);
-//! // Anchored on Attr(7): only users holding attribute 7 can match.
+//! // Two groups: attribute 7, and a visit to ZIP 10001.
 //! let jazz = campaigns
 //!     .create_ad(
 //!         camp,
 //!         AdCreative::text("jazz", "ad"),
 //!         TargetingSpec::including(TargetingExpr::And(vec![
 //!             TargetingExpr::Attr(AttributeId(7)),
+//!             TargetingExpr::VisitedZip("10001".into()),
 //!             TargetingExpr::AgeRange { min: 21, max: 99 },
 //!         ])),
 //!         profiles.symbols_mut(),
 //!     )
 //!     .unwrap();
-//! // Unanchored: admits every user, so it is a candidate for everyone.
+//! // No group: it admits every user, so it is a candidate for everyone.
 //! let broad = campaigns
 //!     .create_ad(
 //!         camp,
@@ -86,25 +122,26 @@
 //! let audiences = AudienceStore::new(20, 1000, 100);
 //! let fan = profiles.register(30, Gender::Female, "Ohio", "43004");
 //! profiles.grant_attribute(fan, AttributeId(7)).unwrap();
-//! let other = profiles.register(30, Gender::Male, "Ohio", "43004");
+//! profiles.record_zip_visit(fan, "10001").unwrap();
+//! // Holds attribute 7 but never visited 10001: pruned on the second
+//! // conjunct, so the jazz ad's program is never evaluated for them.
+//! let homebody = profiles.register(30, Gender::Male, "Ohio", "43004");
+//! profiles.grant_attribute(homebody, AttributeId(7)).unwrap();
 //!
 //! let index = campaigns.index();
 //! assert_eq!(
 //!     index.candidates(profiles.get(fan).unwrap(), &audiences),
 //!     vec![jazz, broad]
 //! );
-//! // The non-holder never pays for evaluating the jazz ad's expression.
 //! assert_eq!(
-//!     index.candidates(profiles.get(other).unwrap(), &audiences),
+//!     index.candidates(profiles.get(homebody).unwrap(), &audiences),
 //!     vec![broad]
 //! );
 //! ```
 
 use crate::audience::AudienceResolver;
 use crate::profile::UserProfile;
-use crate::targeting::{TargetingExpr, TargetingSpec};
-use adsim_types::{AdId, AttributeId, AudienceId};
-use std::collections::BTreeMap;
+use adsim_types::{AdId, AttributeId, AudienceId, Symbol};
 
 /// How stage 1 of the delivery filter chain
 /// ([`crate::delivery::MatchSet`]) gathers its candidate ads.
@@ -115,53 +152,96 @@ use std::collections::BTreeMap;
 /// proptests run every workload under both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SelectionMode {
-    /// Consult the [`TargetingIndex`]: examine only the ads whose anchor
-    /// signal the user carries, plus the unanchored catch-all list.
+    /// Consult the [`TargetingIndex`]: examine only the ads whose every
+    /// group the user hits, plus the unanchored catch-all list.
     #[default]
     Indexed,
     /// Examine every ad in the store (the original O(inventory) path).
     LinearScan,
 }
 
-/// The one signal a user must carry for an ad to possibly match — the key
-/// the ad's posting-list entry is filed under.
-///
-/// Ordered by assumed selectivity: when an expression offers several
-/// anchorable conjuncts, [`TargetingIndex`] picks the lowest variant
-/// (attributes are rarer than audiences, audiences than location facts).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AnchorKey {
-    /// The user must hold this targeting attribute.
+/// One signal a posting list is keyed on: a keyable leaf of a targeting
+/// expression, its strings interned through the platform's symbol table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConjunctKey {
+    /// The user holds this targeting attribute.
     Attr(AttributeId),
-    /// The user must belong to this saved audience.
+    /// The user belongs to this saved audience.
     Audience(AudienceId),
-    /// The platform must have recently located the user in this ZIP.
-    VisitedZip(String),
-    /// The user's home ZIP must equal this.
-    Zip(String),
-    /// The user's home state must equal this.
-    State(String),
+    /// The platform recently located the user in this ZIP.
+    VisitedZip(Symbol),
+    /// The user's home ZIP is this one.
+    Zip(Symbol),
+    /// The user's home state is this one.
+    State(Symbol),
 }
 
-/// The inverted index over an ad inventory: anchor signal → posting list
-/// of [`AdId`]s, plus the unanchored catch-all. See the [module
-/// docs](self) for the soundness and determinism arguments.
+/// The keys of one conjunct group: a user satisfies the conjunct only if
+/// they hold at least one of them.
+pub type ConjunctGroup = Vec<ConjunctKey>;
+
+/// The most groups one ad is filed under: its `required` mask is one
+/// `u64`. Groups past this many stay unindexed, which keeps the candidate
+/// set a superset (fewer necessary conditions are still necessary).
+const MAX_GROUPS: usize = 64;
+
+/// One posting-list entry: the ad at `slot` (`AdId(slot + 1)`) has a
+/// group `group` the list's key satisfies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Posting {
+    slot: u32,
+    group: u32,
+}
+
+/// Working memory of [`TargetingIndex::candidates_with`]: one hit mask
+/// per ad slot and the slots hit by the current lookup.
+///
+/// Sized on demand to the index it is used with, and reset by every
+/// lookup before it returns, so one buffer serves any sequence of users
+/// (and indexes) and a caller that keeps it allocates nothing once it has
+/// grown.
+#[derive(Debug, Clone, Default)]
+pub struct CountingBuffer {
+    /// Groups hit so far, one mask per ad slot; all zero between lookups.
+    hits: Vec<u64>,
+    /// Slots whose mask went non-zero during the current lookup.
+    touched: Vec<u32>,
+}
+
+/// The counting index over an ad inventory: key → postings, a `required`
+/// group mask per ad, and the unanchored catch-all. See the [module
+/// docs](self) for the soundness and exactness arguments.
 ///
 /// Owned by [`crate::campaign::CampaignStore`], which files every ad at
-/// creation; all query methods take `&self` and allocate only the result
-/// vector, so shard threads can share one index freely.
+/// creation; all query methods take `&self`, so shard threads can share
+/// one index freely.
 #[derive(Debug, Clone, Default)]
 pub struct TargetingIndex {
-    by_attr: BTreeMap<AttributeId, Vec<AdId>>,
-    by_audience: BTreeMap<AudienceId, Vec<AdId>>,
-    by_visited_zip: BTreeMap<String, Vec<AdId>>,
-    by_zip: BTreeMap<String, Vec<AdId>>,
-    by_state: BTreeMap<String, Vec<AdId>>,
-    /// Ads whose include expression offers no necessary positive signal;
-    /// candidates for every opportunity.
+    /// Postings by raw attribute id.
+    by_attr: Vec<Vec<Posting>>,
+    /// Postings by raw audience id.
+    by_audience: Vec<Vec<Posting>>,
+    /// Postings by visited-ZIP symbol.
+    by_visited_zip: Vec<Vec<Posting>>,
+    /// Postings by home-ZIP symbol.
+    by_zip: Vec<Vec<Posting>>,
+    /// Postings by home-state symbol.
+    by_state: Vec<Vec<Posting>>,
+    /// One bit per indexed group of the ad at each slot; `0` for an
+    /// unanchored ad.
+    required: Vec<u64>,
+    /// Ads with no group; candidates for every opportunity.
     unanchored: Vec<AdId>,
-    /// Reverse map: where each ad was filed (`None` = unanchored).
-    anchors: BTreeMap<AdId, Option<AnchorKey>>,
+}
+
+/// The posting list of key `ix` (a raw id or a symbol) in a dense key
+/// table, grown on demand.
+fn list_at(table: &mut Vec<Vec<Posting>>, ix: u64) -> &mut Vec<Posting> {
+    let ix = usize::try_from(ix).expect("ids and symbols index dense tables");
+    if ix >= table.len() {
+        table.resize_with(ix + 1, Vec::new);
+    }
+    &mut table[ix]
 }
 
 impl TargetingIndex {
@@ -170,91 +250,145 @@ impl TargetingIndex {
         Self::default()
     }
 
-    /// Files `ad` under the anchor derived from `spec`. Called once per
-    /// ad by `CampaignStore::create_ad`; targeting specs are immutable
-    /// after creation, so an ad is never re-filed.
-    pub fn insert(&mut self, ad: AdId, spec: &TargetingSpec) {
-        let anchor = anchor_of(spec);
-        let list = match &anchor {
-            Some(AnchorKey::Attr(a)) => self.by_attr.entry(*a).or_default(),
-            Some(AnchorKey::Audience(a)) => self.by_audience.entry(*a).or_default(),
-            Some(AnchorKey::VisitedZip(z)) => self.by_visited_zip.entry(z.clone()).or_default(),
-            Some(AnchorKey::Zip(z)) => self.by_zip.entry(z.clone()).or_default(),
-            Some(AnchorKey::State(s)) => self.by_state.entry(s.clone()).or_default(),
-            None => &mut self.unanchored,
-        };
-        // Ids are allocated monotonically, so pushing keeps lists sorted;
-        // the binary-search insert is defensive against out-of-order use.
-        match list.binary_search(&ad) {
-            Ok(_) => {}
-            Err(pos) => list.insert(pos, ad),
+    /// Files `ad` under `groups`, the conjunct groups of its include
+    /// expression. Called once per ad by `CampaignStore::create_ad`;
+    /// targeting specs are immutable after creation, so an ad is never
+    /// re-filed.
+    ///
+    /// # Panics
+    ///
+    /// If `ad` is not the next id: ads are filed densely, `AdId(n)` at
+    /// slot `n - 1`, as the store allocates them.
+    pub fn insert(&mut self, ad: AdId, groups: &[ConjunctGroup]) {
+        let slot = self.required.len();
+        assert_eq!(ad.raw(), slot as u64 + 1, "ads are filed in id order");
+        let slot = u32::try_from(slot).expect("ad slots fit u32");
+        let groups = &groups[..groups.len().min(MAX_GROUPS)];
+        if groups.is_empty() {
+            self.required.push(0);
+            self.unanchored.push(ad);
+            return;
         }
-        self.anchors.insert(ad, anchor);
+        self.required.push(u64::MAX >> (MAX_GROUPS - groups.len()));
+        // A key repeated within a group posts twice and sets the same bit
+        // twice: harmless, so groups are filed as given.
+        for (group, keys) in (0u32..).zip(groups) {
+            for &key in keys {
+                let list = match key {
+                    ConjunctKey::Attr(a) => list_at(&mut self.by_attr, a.raw()),
+                    ConjunctKey::Audience(a) => list_at(&mut self.by_audience, a.raw()),
+                    ConjunctKey::VisitedZip(z) => list_at(&mut self.by_visited_zip, z.into()),
+                    ConjunctKey::Zip(z) => list_at(&mut self.by_zip, z.into()),
+                    ConjunctKey::State(s) => list_at(&mut self.by_state, s.into()),
+                };
+                list.push(Posting { slot, group });
+            }
+        }
     }
 
     /// The candidate ads for one opportunity shown to `user`, in
-    /// ascending id order: every unanchored ad, plus the posting lists of
-    /// each signal the user carries. A superset of the ads whose
-    /// targeting matches `user` (see the module docs), and each ad
-    /// appears exactly once — an ad has exactly one anchor.
+    /// ascending id order: every unanchored ad, plus every ad whose groups
+    /// the user all hit. A superset of the ads whose targeting matches
+    /// `user` (see the module docs), each ad at most once.
     pub fn candidates<A: AudienceResolver>(&self, user: &UserProfile, audiences: &A) -> Vec<AdId> {
         let mut out = Vec::new();
         self.candidates_into(user, audiences, &mut out);
         out
     }
 
-    /// The allocation-free form of [`TargetingIndex::candidates`]: fills
-    /// `out` (cleared first) instead of returning a fresh vector, so a
-    /// caller that keeps `out` across opportunities allocates nothing
-    /// once it reaches its high-water capacity.
+    /// [`TargetingIndex::candidates`] into `out` (cleared first), over a
+    /// fresh [`CountingBuffer`]. Callers on a hot path keep a buffer and
+    /// use [`TargetingIndex::candidates_with`].
     pub fn candidates_into<A: AudienceResolver>(
         &self,
         user: &UserProfile,
         audiences: &A,
         out: &mut Vec<AdId>,
     ) {
-        out.clear();
-        out.extend_from_slice(&self.unanchored);
-        for attr in &user.attributes {
-            if let Some(list) = self.by_attr.get(attr) {
-                out.extend_from_slice(list);
-            }
-        }
-        // Audience anchors are few (anchor priority prefers attributes),
-        // so probing each anchored audience for membership stays cheap.
-        for (aud, list) in &self.by_audience {
-            if audiences.contains(*aud, user.id) {
-                out.extend_from_slice(list);
-            }
-        }
-        for zip in &user.recent_zips {
-            if let Some(list) = self.by_visited_zip.get(zip) {
-                out.extend_from_slice(list);
-            }
-        }
-        if let Some(list) = self.by_zip.get(&user.zip) {
-            out.extend_from_slice(list);
-        }
-        if let Some(list) = self.by_state.get(&user.state) {
-            out.extend_from_slice(list);
-        }
-        out.sort_unstable();
+        self.candidates_with(user, audiences, &mut CountingBuffer::default(), out);
     }
 
-    /// The anchor `ad` was filed under (`Some(None)` = filed as
-    /// unanchored, outer `None` = never filed).
-    pub fn anchor(&self, ad: AdId) -> Option<&Option<AnchorKey>> {
-        self.anchors.get(&ad)
+    /// The allocation-free lookup: fills `out` (cleared first) with the
+    /// candidates for `user`, counting group hits in `counts`. A caller
+    /// that keeps `out` and `counts` across opportunities allocates
+    /// nothing once both reach their high-water size.
+    pub fn candidates_with<A: AudienceResolver>(
+        &self,
+        user: &UserProfile,
+        audiences: &A,
+        counts: &mut CountingBuffer,
+        out: &mut Vec<AdId>,
+    ) {
+        out.clear();
+        // No ad has a group, so there is nothing to count: answer without
+        // reading the user's profile at all. The unanchored list is in id
+        // order already.
+        if self.unanchored.len() == self.required.len() {
+            out.extend_from_slice(&self.unanchored);
+            return;
+        }
+        let CountingBuffer { hits, touched } = counts;
+        if hits.len() < self.required.len() {
+            hits.resize(self.required.len(), 0);
+        }
+        let mut hit = |list: &[Posting]| {
+            for p in list {
+                let mask = &mut hits[p.slot as usize];
+                if *mask == 0 {
+                    touched.push(p.slot);
+                }
+                *mask |= 1 << p.group;
+            }
+        };
+        let facets = &user.facets;
+        // Only the words that cover attributes with postings can hit.
+        let attr_words = self.by_attr.len().div_ceil(64);
+        for (word_ix, &word) in facets.attr_words().iter().take(attr_words).enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let raw = word_ix * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(list) = self.by_attr.get(raw) {
+                    hit(list);
+                }
+            }
+        }
+        for (raw, list) in self.by_audience.iter().enumerate() {
+            if !list.is_empty() && audiences.contains(AudienceId(raw as u64), user.id) {
+                hit(list);
+            }
+        }
+        for &zip in facets.visited_zip_symbols() {
+            if let Some(list) = self.by_visited_zip.get(zip as usize) {
+                hit(list);
+            }
+        }
+        if let Some(list) = self.by_zip.get(facets.zip() as usize) {
+            hit(list);
+        }
+        if let Some(list) = self.by_state.get(facets.state() as usize) {
+            hit(list);
+        }
+        for &slot in touched.iter() {
+            let slot = slot as usize;
+            if hits[slot] == self.required[slot] {
+                out.push(AdId(slot as u64 + 1));
+            }
+            hits[slot] = 0;
+        }
+        touched.clear();
+        out.extend_from_slice(&self.unanchored);
+        out.sort_unstable();
     }
 
     /// Number of ads filed.
     pub fn len(&self) -> usize {
-        self.anchors.len()
+        self.required.len()
     }
 
     /// True if no ads are filed.
     pub fn is_empty(&self) -> bool {
-        self.anchors.is_empty()
+        self.required.is_empty()
     }
 
     /// Number of ads on the catch-all (scanned-for-everyone) list.
@@ -263,99 +397,99 @@ impl TargetingIndex {
     }
 }
 
-/// Derives the anchor for a targeting spec: the highest-selectivity
-/// necessary positive signal of the include expression, or `None` when
-/// the expression admits no anchor. Exclusions never anchor — they only
-/// shrink the matching set, so ignoring them preserves the superset
-/// property.
-pub fn anchor_of(spec: &TargetingSpec) -> Option<AnchorKey> {
-    let mut leaves = Vec::new();
-    collect_anchor_leaves(&spec.include, &mut leaves);
-    leaves.into_iter().min()
-}
-
-/// Collects the anchorable leaves reachable through `And` nodes only.
-/// `Or` and `Not` subtrees are skipped entirely: a disjunct or a negated
-/// predicate is not a *necessary* condition of the whole expression.
-fn collect_anchor_leaves(expr: &TargetingExpr, out: &mut Vec<AnchorKey>) {
-    match expr {
-        TargetingExpr::And(subs) => {
-            for sub in subs {
-                collect_anchor_leaves(sub, out);
-            }
-        }
-        TargetingExpr::Attr(a) => out.push(AnchorKey::Attr(*a)),
-        TargetingExpr::InAudience(a) => out.push(AnchorKey::Audience(*a)),
-        TargetingExpr::VisitedZip(z) => out.push(AnchorKey::VisitedZip(z.clone())),
-        TargetingExpr::InZip(z) => out.push(AnchorKey::Zip(z.clone())),
-        TargetingExpr::InState(s) => out.push(AnchorKey::State(s.clone())),
-        // Everyone, demographics, radius, Or, Not: no necessary signal a
-        // posting list can key on.
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audience::AudienceStore;
+    use crate::compiled::ProgramArena;
     use crate::profile::{Gender, ProfileStore};
-    use adsim_types::UserId;
+    use crate::targeting::{TargetingExpr, TargetingSpec};
+    use adsim_types::{SymbolTable, UserId};
 
-    fn spec(include: TargetingExpr) -> TargetingSpec {
-        TargetingSpec::including(include)
+    fn attr(n: u64) -> TargetingExpr {
+        TargetingExpr::Attr(AttributeId(n))
+    }
+
+    fn groups(spec: &TargetingSpec, symbols: &mut SymbolTable) -> Vec<ConjunctGroup> {
+        ProgramArena::new().push(spec, symbols)
+    }
+
+    /// Files `include` as the index's next ad, interning through `symbols`.
+    fn file(index: &mut TargetingIndex, include: TargetingExpr, symbols: &mut SymbolTable) -> AdId {
+        let ad = AdId(index.len() as u64 + 1);
+        index.insert(ad, &groups(&TargetingSpec::including(include), symbols));
+        ad
     }
 
     #[test]
-    fn anchor_prefers_attributes_over_weaker_signals() {
-        let s = spec(TargetingExpr::And(vec![
-            TargetingExpr::InState("Ohio".into()),
-            TargetingExpr::InZip("43004".into()),
-            TargetingExpr::Attr(AttributeId(5)),
-            TargetingExpr::InAudience(AudienceId(2)),
-        ]));
-        assert_eq!(anchor_of(&s), Some(AnchorKey::Attr(AttributeId(5))));
-    }
-
-    #[test]
-    fn anchor_descends_nested_ands_only() {
-        let nested = spec(TargetingExpr::And(vec![
+    fn groups_descend_nested_ands() {
+        let mut symbols = SymbolTable::new();
+        let nested = TargetingSpec::including(TargetingExpr::And(vec![
             TargetingExpr::AgeRange { min: 18, max: 65 },
-            TargetingExpr::And(vec![TargetingExpr::Attr(AttributeId(9))]),
+            TargetingExpr::And(vec![attr(9), TargetingExpr::InState("Ohio".into())]),
         ]));
-        assert_eq!(anchor_of(&nested), Some(AnchorKey::Attr(AttributeId(9))));
-
-        // A disjunct is not a necessary condition.
-        let ored = spec(TargetingExpr::Or(vec![
-            TargetingExpr::Attr(AttributeId(1)),
-            TargetingExpr::Attr(AttributeId(2)),
-        ]));
-        assert_eq!(anchor_of(&ored), None);
-
-        // Neither is a negated predicate.
-        let negated = spec(TargetingExpr::Not(Box::new(TargetingExpr::Attr(
-            AttributeId(1),
-        ))));
-        assert_eq!(anchor_of(&negated), None);
+        let ohio = symbols.intern("Ohio");
+        assert_eq!(
+            groups(&nested, &mut symbols),
+            vec![
+                vec![ConjunctKey::Attr(AttributeId(9))],
+                vec![ConjunctKey::State(ohio)]
+            ]
+        );
     }
 
     #[test]
-    fn exclusions_never_anchor() {
-        let s = TargetingSpec::including_excluding(
-            TargetingExpr::Everyone,
-            TargetingExpr::Attr(AttributeId(3)),
+    fn negations_and_exclusions_form_no_group() {
+        let mut symbols = SymbolTable::new();
+        let negated = TargetingSpec::including(TargetingExpr::Not(Box::new(attr(1))));
+        assert!(groups(&negated, &mut symbols).is_empty());
+        let excluded = TargetingSpec::including_excluding(TargetingExpr::Everyone, attr(3));
+        assert!(groups(&excluded, &mut symbols).is_empty());
+    }
+
+    #[test]
+    fn a_bare_or_of_keyable_leaves_is_one_group() {
+        let mut symbols = SymbolTable::new();
+        let ored = TargetingSpec::including(TargetingExpr::Or(vec![attr(1), attr(2)]));
+        assert_eq!(
+            groups(&ored, &mut symbols),
+            vec![vec![
+                ConjunctKey::Attr(AttributeId(1)),
+                ConjunctKey::Attr(AttributeId(2))
+            ]]
         );
-        assert_eq!(anchor_of(&s), None);
+    }
+
+    #[test]
+    fn an_or_with_an_unkeyable_disjunct_forms_no_group() {
+        let mut symbols = SymbolTable::new();
+        for unkeyable in [
+            TargetingExpr::AgeRange { min: 18, max: 30 },
+            TargetingExpr::GenderIs(Gender::Male),
+            TargetingExpr::And(vec![attr(2), attr(3)]),
+            TargetingExpr::Not(Box::new(attr(2))),
+        ] {
+            let spec = TargetingSpec::including(TargetingExpr::And(vec![
+                attr(1),
+                TargetingExpr::Or(vec![attr(4), unkeyable.clone()]),
+            ]));
+            assert_eq!(
+                groups(&spec, &mut symbols),
+                vec![vec![ConjunctKey::Attr(AttributeId(1))]],
+                "Or with {unkeyable:?}"
+            );
+        }
     }
 
     #[test]
     fn candidates_come_back_sorted_and_unique() {
         let mut index = TargetingIndex::new();
-        index.insert(AdId(3), &spec(TargetingExpr::Everyone));
-        index.insert(AdId(1), &spec(TargetingExpr::Attr(AttributeId(7))));
-        index.insert(AdId(2), &spec(TargetingExpr::InState("Ohio".into())));
-
         let mut profiles = ProfileStore::new();
+        let symbols = profiles.symbols_mut();
+        file(&mut index, attr(7), symbols);
+        file(&mut index, TargetingExpr::InState("Ohio".into()), symbols);
+        file(&mut index, TargetingExpr::Everyone, symbols);
+
         let u = profiles.register(30, Gender::Female, "Ohio", "43004");
         profiles.grant_attribute(u, AttributeId(7)).expect("grant");
         let audiences = AudienceStore::new(20, 1000, 100);
@@ -366,9 +500,14 @@ mod tests {
     }
 
     #[test]
-    fn audience_anchors_probe_membership() {
+    fn audience_groups_probe_membership() {
         let mut index = TargetingIndex::new();
-        index.insert(AdId(1), &spec(TargetingExpr::InAudience(AudienceId(1))));
+        let mut profiles = ProfileStore::new();
+        file(
+            &mut index,
+            TargetingExpr::InAudience(AudienceId(1)),
+            profiles.symbols_mut(),
+        );
 
         let mut audiences = AudienceStore::new(20, 1000, 100);
         let aud =
@@ -376,7 +515,6 @@ mod tests {
         assert_eq!(aud, AudienceId(1));
         audiences.record_pixel_visit(adsim_types::PixelId(1), UserId(1));
 
-        let mut profiles = ProfileStore::new();
         let member = profiles.register(30, Gender::Female, "Ohio", "43004");
         assert_eq!(member, UserId(1));
         let outsider = profiles.register(30, Gender::Male, "Ohio", "43004");
@@ -391,12 +529,17 @@ mod tests {
     }
 
     #[test]
-    fn visited_zip_anchors_use_recent_locations() {
+    fn visited_zip_groups_use_recent_locations() {
         let mut index = TargetingIndex::new();
-        index.insert(AdId(1), &spec(TargetingExpr::VisitedZip("10001".into())));
-        index.insert(AdId(2), &spec(TargetingExpr::InZip("10001".into())));
-
         let mut profiles = ProfileStore::new();
+        let symbols = profiles.symbols_mut();
+        file(
+            &mut index,
+            TargetingExpr::VisitedZip("10001".into()),
+            symbols,
+        );
+        file(&mut index, TargetingExpr::InZip("10001".into()), symbols);
+
         let u = profiles.register(30, Gender::Male, "New York", "10002");
         profiles.record_zip_visit(u, "10001").expect("visit");
         let audiences = AudienceStore::new(20, 1000, 100);
@@ -407,13 +550,89 @@ mod tests {
             vec![AdId(1)]
         );
     }
+
+    /// The batch-inventory ad shape: three groups (geo, visited ZIPs,
+    /// attribute) around an unkeyable age range.
+    fn inventory_ad() -> TargetingExpr {
+        TargetingExpr::And(vec![
+            TargetingExpr::Or(vec![
+                TargetingExpr::InState("Ohio".into()),
+                TargetingExpr::InState("Texas".into()),
+                TargetingExpr::InZip("20001".into()),
+            ]),
+            TargetingExpr::Or(
+                (0..6)
+                    .map(|k| TargetingExpr::VisitedZip(format!("3000{k}")))
+                    .collect(),
+            ),
+            TargetingExpr::AgeRange { min: 18, max: 60 },
+            attr(5),
+        ])
+    }
+
+    #[test]
+    fn an_ad_is_a_candidate_iff_every_group_is_hit() {
+        let mut index = TargetingIndex::new();
+        let mut profiles = ProfileStore::new();
+        let ad = file(&mut index, inventory_ad(), profiles.symbols_mut());
+        let audiences = AudienceStore::new(20, 1000, 100);
+        let mut counts = CountingBuffer::default();
+        let mut out = Vec::new();
+        // (state, home zip, visited ZIPs, holds attribute 5) → candidate?
+        let cases: [(&str, &str, &[&str], bool, bool); 7] = [
+            ("Ohio", "43004", &["30001"], true, true),
+            ("Utah", "20001", &["30005"], true, true),
+            // A user who visited two of its ZIPs gets it once.
+            ("Texas", "73301", &["30000", "30003"], true, true),
+            // Missing any one group prunes it.
+            ("Utah", "84001", &["30001"], true, false),
+            ("Ohio", "43004", &["39999"], true, false),
+            ("Ohio", "43004", &[], true, false),
+            ("Ohio", "43004", &["30001"], false, false),
+        ];
+        for (state, zip, visited, holds, expected) in cases {
+            let u = profiles.register(99, Gender::Female, state, zip);
+            for z in visited {
+                profiles.record_zip_visit(u, z).expect("visit");
+            }
+            if holds {
+                profiles.grant_attribute(u, AttributeId(5)).expect("grant");
+            }
+            let user = profiles.get(u).expect("user");
+            index.candidates_with(user, &audiences, &mut counts, &mut out);
+            let want = if expected { vec![ad] } else { vec![] };
+            assert_eq!(out, want, "{state} {zip} {visited:?} holds={holds}");
+            // Age 99 fails the age range: the index never evaluates it.
+            assert!(!TargetingSpec::including(inventory_ad()).matches(user, &audiences));
+        }
+    }
+
+    #[test]
+    fn an_ad_past_the_group_cap_stays_a_candidate_for_a_matching_user() {
+        let mut index = TargetingIndex::new();
+        let mut profiles = ProfileStore::new();
+        let wide = TargetingExpr::And((1..=70).map(attr).collect());
+        let ad = file(&mut index, wide.clone(), profiles.symbols_mut());
+        let holder = profiles.register(30, Gender::Female, "Ohio", "43004");
+        for a in 1..=70 {
+            profiles
+                .grant_attribute(holder, AttributeId(a))
+                .expect("grant");
+        }
+        let audiences = AudienceStore::new(20, 1000, 100);
+        let user = profiles.get(holder).expect("user");
+        assert!(TargetingSpec::including(wide).matches(user, &audiences));
+        assert_eq!(index.candidates(user, &audiences), vec![ad]);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use crate::audience::AudienceStore;
+    use crate::compiled::ProgramArena;
     use crate::profile::{Gender, ProfileStore};
+    use crate::targeting::{TargetingExpr, TargetingSpec};
     use proptest::prelude::*;
 
     fn arb_expr() -> impl Strategy<Value = TargetingExpr> {
@@ -439,6 +658,70 @@ mod proptests {
         })
     }
 
+    /// One generated user: `(attributes, home zip, visited zips,
+    /// audiences joined)`.
+    type UserShape = (Vec<u64>, String, Vec<String>, Vec<u64>);
+
+    fn arb_user() -> impl Strategy<Value = UserShape> {
+        (
+            prop::collection::vec(1u64..12, 0..6),
+            "[0-9]{2}",
+            prop::collection::vec("[0-9]{2}", 0..3),
+            prop::collection::vec(1u64..4, 0..3),
+        )
+    }
+
+    /// An audience store with pixel audiences 1–3, none joined yet.
+    fn audience_store() -> AudienceStore {
+        let mut audiences = AudienceStore::new(20, 1000, 100);
+        for i in 1..4u64 {
+            audiences.create_pixel_audience(adsim_types::AccountId(1), adsim_types::PixelId(i));
+        }
+        audiences
+    }
+
+    /// Registers `shape` in Ohio and joins its audiences.
+    fn register(
+        profiles: &mut ProfileStore,
+        audiences: &mut AudienceStore,
+        (attrs, zip, visited, joined): &UserShape,
+    ) -> adsim_types::UserId {
+        let u = profiles.register(33, Gender::Female, "Ohio", zip);
+        for &a in attrs {
+            profiles.grant_attribute(u, AttributeId(a)).expect("grant");
+        }
+        for z in visited {
+            profiles.record_zip_visit(u, z).expect("visit");
+        }
+        for &a in joined {
+            audiences.record_pixel_visit(adsim_types::PixelId(a), u);
+        }
+        u
+    }
+
+    /// The And-level conjuncts of `expr` that form a group: keyable
+    /// leaves, and `Or`s whose every disjunct is one.
+    fn keyable_conjuncts(expr: &TargetingExpr, out: &mut Vec<TargetingExpr>) {
+        let keyable_leaf = |e: &TargetingExpr| {
+            matches!(
+                e,
+                TargetingExpr::Attr(_)
+                    | TargetingExpr::InAudience(_)
+                    | TargetingExpr::VisitedZip(_)
+                    | TargetingExpr::InZip(_)
+                    | TargetingExpr::InState(_)
+            )
+        };
+        match expr {
+            TargetingExpr::And(subs) => subs.iter().for_each(|s| keyable_conjuncts(s, out)),
+            TargetingExpr::Or(subs) if !subs.is_empty() && subs.iter().all(keyable_leaf) => {
+                out.push(expr.clone());
+            }
+            leaf if keyable_leaf(leaf) => out.push(leaf.clone()),
+            _ => {}
+        }
+    }
+
     proptest! {
         /// The core soundness property: whatever the expression and
         /// whoever the user, a matching ad is always in the candidate
@@ -455,9 +738,10 @@ mod proptests {
         ) {
             let spec = TargetingSpec { include, exclude };
             let mut index = TargetingIndex::new();
-            index.insert(AdId(1), &spec);
-
             let mut profiles = ProfileStore::new();
+            let groups = ProgramArena::new().push(&spec, profiles.symbols_mut());
+            index.insert(AdId(1), &groups);
+
             let u = profiles.register(33, Gender::Female, "Ohio", &zip);
             for a in attrs {
                 profiles.grant_attribute(u, AttributeId(a)).expect("grant");
@@ -483,6 +767,60 @@ mod proptests {
                     vec![AdId(1)],
                     "index pruned an ad whose targeting matches"
                 );
+            }
+        }
+
+        /// Many ads, one counting buffer reused across a sequence of
+        /// users: every matching ad is a candidate, the reused buffer
+        /// answers exactly as a fresh one, and every candidate satisfies
+        /// each keyable And-level conjunct of its include expression —
+        /// the index prunes on all of them, not on one.
+        #[test]
+        fn reused_buffer_candidates_are_sound_and_exact(
+            specs in prop::collection::vec(
+                (arb_expr(), prop_oneof![Just(None), arb_expr().prop_map(Some)]),
+                1..8,
+            ),
+            users in prop::collection::vec(arb_user(), 1..6),
+        ) {
+            let specs: Vec<TargetingSpec> = specs
+                .into_iter()
+                .map(|(include, exclude)| TargetingSpec { include, exclude })
+                .collect();
+            let mut index = TargetingIndex::new();
+            let mut profiles = ProfileStore::new();
+            for (slot, spec) in specs.iter().enumerate() {
+                let groups = ProgramArena::new().push(spec, profiles.symbols_mut());
+                index.insert(AdId(slot as u64 + 1), &groups);
+            }
+            let mut audiences = audience_store();
+            let ids: Vec<_> = users
+                .iter()
+                .map(|shape| register(&mut profiles, &mut audiences, shape))
+                .collect();
+
+            let mut counts = CountingBuffer::default();
+            let mut out = Vec::new();
+            for id in ids {
+                let user = profiles.get(id).expect("user");
+                index.candidates_with(user, &audiences, &mut counts, &mut out);
+                prop_assert_eq!(&out, &index.candidates(user, &audiences));
+                for (slot, spec) in specs.iter().enumerate() {
+                    let ad = AdId(slot as u64 + 1);
+                    if spec.matches(user, &audiences) {
+                        prop_assert!(out.contains(&ad), "{:?} matches but was pruned", ad);
+                    }
+                    if out.contains(&ad) {
+                        let mut conjuncts = Vec::new();
+                        keyable_conjuncts(&spec.include, &mut conjuncts);
+                        for conjunct in conjuncts {
+                            prop_assert!(
+                                conjunct.matches(user, &audiences),
+                                "{:?} is a candidate but fails {:?}", ad, conjunct
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -37,9 +37,10 @@
 //!   (`age 24-39 AND attr:'musicals' AND NOT attr:'in a relationship'`).
 //! * [`auction`] — per-impression second-price auction against simulated
 //!   background competition (the paper raises its bid cap 5× to win).
-//! * [`index`] — the inverted targeting index: signal → candidate ads,
-//!   so delivery's per-opportunity cost scales with *plausibly matching*
-//!   ads instead of the whole inventory.
+//! * [`index`] — the counting targeting index: signals → candidate ads,
+//!   pruning on every keyable conjunct of an ad's targeting, so
+//!   delivery's per-opportunity cost scales with *plausibly matching* ads
+//!   instead of the whole inventory.
 //! * [`delivery`] — the event loop turning browsing impressions into
 //!   auctions, impressions, frequency capping, and billing.
 //! * [`billing`] — CPM accounting with the small-spend waiver that makes
@@ -137,7 +138,7 @@ pub use audience::{Audience, AudienceKind};
 pub use campaign::{Ad, AdCreative, AdStatus, Campaign};
 pub use compiled::{CompiledSpec, EvalMode, ProgramArena};
 pub use error::PlatformError;
-pub use index::{AnchorKey, SelectionMode, TargetingIndex};
+pub use index::{SelectionMode, TargetingIndex};
 pub use platform::{Platform, PlatformConfig};
 pub use profile::{Gender, PiiProvenance, ProfileFacets, UserProfile};
 pub use state::PlatformState;

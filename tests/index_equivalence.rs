@@ -1,7 +1,7 @@
 //! Integration test: indexed candidate selection is **output-equivalent**
-//! to the linear scan, at every shard count.
+//! to the linear scan, at every shard count and through a resume.
 //!
-//! The inverted targeting index (`adplatform::index`) must be a pure
+//! The counting targeting index (`adplatform::index`) must be a pure
 //! optimization: switching `SelectionMode` can never change a platform
 //! output, because the candidate set is a superset of the matching ads
 //! returned in the same canonical ad-id order, and auction RNG draws do
@@ -9,7 +9,9 @@
 //! random extra campaigns layered over a Tread campaign plan, random
 //! profile mutations — under every (shards ∈ {1, 2, 8}) ×
 //! (mode ∈ {Indexed, LinearScan}) combination and requires byte-identical
-//! invoices, ad reports, and decoded Tread sets.
+//! invoices, ad reports, and decoded Tread sets. Postings key on interned
+//! symbols, so a run of multi-group ads checkpointed mid-flight and
+//! resumed on a fresh host must match too.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,12 +20,13 @@ use treads_repro::adplatform::campaign::AdCreative;
 use treads_repro::adplatform::index::SelectionMode;
 use treads_repro::adplatform::reporting::AdReport;
 use treads_repro::adplatform::targeting::{TargetingExpr, TargetingSpec};
-use treads_repro::adsim_types::{AttributeId, Money, UserId};
-use treads_repro::engine::{Engine, EngineConfig};
+use treads_repro::adsim_types::{AccountId, AttributeId, Money, UserId};
+use treads_repro::engine::{Engine, EngineCheckpoint, EngineConfig, ResilienceOptions};
 use treads_repro::treads::encoding::Encoding;
 use treads_repro::treads::planner::CampaignPlan;
+use treads_repro::treads::provider::RunReceipt;
 use treads_repro::treads::TreadClient;
-use treads_repro::websim::{SessionConfig, SiteRegistry};
+use treads_repro::websim::{ExtensionLog, SessionConfig, SiteRegistry};
 use treads_repro::workload::CohortScenario;
 
 const SEED: u64 = 47;
@@ -32,8 +35,9 @@ const OPTIN: usize = 16;
 
 /// A proptest-generated extra ad: `(shape, a, b)` where `shape` selects
 /// the targeting structure and `a`/`b` fill in its parameters. Shapes
-/// deliberately cover every anchor class (attribute, zip, visited-zip,
-/// state) and every unanchorable structure (Everyone, Or, Not, exclude).
+/// deliberately cover every key class (attribute, zip, visited-zip,
+/// state), an ad with several conjunct groups, and every structure that
+/// forms no group (Everyone, Not, exclude).
 type ExtraAd = (u8, u64, u64);
 
 /// A proptest-generated profile mutation: `(user index, attribute, zip)`
@@ -50,7 +54,7 @@ fn zip(n: u64) -> String {
 }
 
 fn targeting_of(&(shape, a, b): &ExtraAd) -> TargetingSpec {
-    match shape % 9 {
+    match shape % 10 {
         0 => TargetingSpec::including(TargetingExpr::Everyone),
         1 => TargetingSpec::including(attr(a)),
         2 => TargetingSpec::including(TargetingExpr::And(vec![
@@ -67,24 +71,47 @@ fn targeting_of(&(shape, a, b): &ExtraAd) -> TargetingSpec {
         5 => TargetingSpec::including(TargetingExpr::InZip(zip(a))),
         6 => TargetingSpec::including(TargetingExpr::Or(vec![attr(a), attr(b)])),
         7 => TargetingSpec::including(TargetingExpr::Not(Box::new(attr(a)))),
-        _ => TargetingSpec::including_excluding(attr(a), attr(b)),
+        8 => TargetingSpec::including_excluding(attr(a), attr(b)),
+        // Three groups: a visited ZIP, an attribute, and a geo `Or` that
+        // a visit to zip(b) also satisfies, so profile mutations can
+        // complete it.
+        _ => TargetingSpec::including(TargetingExpr::And(vec![
+            TargetingExpr::Or(vec![
+                TargetingExpr::VisitedZip(zip(a)),
+                TargetingExpr::VisitedZip(zip(b)),
+            ]),
+            attr(a),
+            TargetingExpr::Or(vec![
+                TargetingExpr::InState("Ohio".into()),
+                TargetingExpr::InZip(zip(b)),
+                TargetingExpr::VisitedZip(zip(b)),
+            ]),
+        ])),
     }
 }
 
-/// One full engine run built from scratch (scenario setup is itself
-/// seed-deterministic), with the given extra campaigns and profile
-/// mutations layered on, executed at `shards` under `mode`.
-fn run(
-    shards: usize,
-    mode: SelectionMode,
-    extra: &[ExtraAd],
-    mutations: &[Mutation],
-) -> (
+/// The outputs the equivalence covers: invoices, ad reports, decoded
+/// Tread sets, and the number of impressions delivered.
+type Outputs = (
     Vec<Invoice>,
     Vec<AdReport>,
     BTreeMap<UserId, BTreeSet<String>>,
     u64,
-) {
+);
+
+/// A host built from scratch (scenario setup is itself
+/// seed-deterministic), with the given extra campaigns and profile
+/// mutations layered on, selecting candidates under `mode`.
+struct Host {
+    s: CohortScenario,
+    receipt: RunReceipt,
+    /// The account owning the extra ads.
+    extra_account: AccountId,
+    sites: SiteRegistry,
+    extension_users: BTreeSet<UserId>,
+}
+
+fn host(mode: SelectionMode, extra: &[ExtraAd], mutations: &[Mutation]) -> Host {
     let mut s = CohortScenario::setup(SEED, POPULATION, OPTIN);
     let names: Vec<String> = s
         .platform
@@ -130,7 +157,18 @@ fn run(
 
     let mut sites = SiteRegistry::new();
     sites.create("feed.example", 2);
-    let engine = Engine::new(EngineConfig {
+    let extension_users = s.opted_in.iter().copied().collect();
+    Host {
+        s,
+        receipt,
+        extra_account: acct,
+        sites,
+        extension_users,
+    }
+}
+
+fn engine(shards: usize) -> Engine {
+    Engine::new(EngineConfig {
         shards,
         session: SessionConfig {
             views_per_user_per_day: 4.0,
@@ -138,30 +176,83 @@ fn run(
         },
         seed: SEED,
         ..EngineConfig::default()
-    });
-    let extension_users: BTreeSet<UserId> = s.opted_in.iter().copied().collect();
-    let outcome = engine.run(&mut s.platform, &sites, &s.users, &extension_users);
+    })
+}
 
-    let mut accounts = s.provider.accounts.clone();
-    accounts.push(acct);
-    let invoices = accounts.iter().map(|&a| s.platform.invoice(a)).collect();
-    let reports = receipt
+/// The outputs of a finished run on `h`.
+fn outputs(h: &Host, extensions: &BTreeMap<UserId, ExtensionLog>, impressions: u64) -> Outputs {
+    let mut accounts = h.s.provider.accounts.clone();
+    accounts.push(h.extra_account);
+    let invoices = accounts.iter().map(|&a| h.s.platform.invoice(a)).collect();
+    let reports = h
+        .receipt
         .placed
         .iter()
         .filter(|p| p.approved)
         .map(|p| {
-            s.platform
-                .ad_report(receipt.account, p.ad)
+            h.s.platform
+                .ad_report(h.receipt.account, p.ad)
                 .expect("placed ad reports")
         })
         .collect();
-    let client = TreadClient::new(s.provider.codebook.clone(), &s.platform.attributes);
-    let reveals = outcome
-        .extensions
+    let client = TreadClient::new(h.s.provider.codebook.clone(), &h.s.platform.attributes);
+    let reveals = extensions
         .iter()
         .map(|(&u, log)| (u, client.decode_log(log, |_| None).has))
         .collect();
-    (invoices, reports, reveals, outcome.report.impressions)
+    (invoices, reports, reveals, impressions)
+}
+
+/// One full engine run, executed at `shards` under `mode`.
+fn run(shards: usize, mode: SelectionMode, extra: &[ExtraAd], mutations: &[Mutation]) -> Outputs {
+    let mut h = host(mode, extra, mutations);
+    let outcome = engine(shards).run(&mut h.s.platform, &h.sites, &h.s.users, &h.extension_users);
+    outputs(&h, &outcome.extensions, outcome.report.impressions)
+}
+
+/// One supervised run checkpointing after every tick: cold, or resumed
+/// from `resume` on the freshly built host. Returns the outputs and the
+/// encoded checkpoints the run took.
+fn resilient_run(
+    shards: usize,
+    mode: SelectionMode,
+    extra: &[ExtraAd],
+    mutations: &[Mutation],
+    resume: Option<&EngineCheckpoint>,
+) -> (Outputs, Vec<Vec<u8>>) {
+    let mut h = host(mode, extra, mutations);
+    let options = ResilienceOptions {
+        checkpoint_every_ticks: 1,
+        ..ResilienceOptions::default()
+    };
+    let engine = engine(shards);
+    let Host {
+        s,
+        sites,
+        extension_users,
+        ..
+    } = &mut h;
+    let run = match resume {
+        None => engine.run_resilient(&mut s.platform, sites, &s.users, extension_users, &options),
+        Some(cp) => engine.resume_from(
+            &mut s.platform,
+            sites,
+            &s.users,
+            extension_users,
+            &options,
+            cp,
+        ),
+    }
+    .expect("supervised run completes");
+    let checkpoints = run
+        .checkpoints
+        .iter()
+        .map(EngineCheckpoint::to_bytes)
+        .collect();
+    (
+        outputs(&h, &run.outcome.extensions, run.outcome.report.impressions),
+        checkpoints,
+    )
 }
 
 proptest! {
@@ -172,7 +263,7 @@ proptest! {
     /// off, across 1/2/8 shards.
     #[test]
     fn index_and_scan_agree_across_shard_counts(
-        extra in prop::collection::vec((0u8..9, 0u64..1000, 0u64..1000), 0..12),
+        extra in prop::collection::vec((0u8..10, 0u64..1000, 0u64..1000), 0..12),
         mutations in prop::collection::vec((0usize..POPULATION, 0u64..1000, 0u64..1000), 0..24),
     ) {
         let baseline = run(1, SelectionMode::Indexed, &extra, &mutations);
@@ -198,5 +289,49 @@ proptest! {
                 prop_assert_eq!(baseline.3, other.3);
             }
         }
+    }
+}
+
+/// Ads with three conjunct groups each, checkpointed after the first tick
+/// and resumed on a fresh host: the resumed run equals the uninterrupted
+/// run and the linear scan, and retakes its later checkpoints byte for
+/// byte. Every mutation completes the ad built from the same `(a, b)`,
+/// so the multi-group ads deliver, while users holding only some of a
+/// group's keys are pruned.
+#[test]
+fn multi_group_resume_matches_full_and_scan_runs() {
+    let params: Vec<(u64, u64)> = (0..12).map(|j| (j * 7 + 3, j * 5 + 1)).collect();
+    let extra: Vec<ExtraAd> = params.iter().map(|&(a, b)| (9, a, b)).collect();
+    let mutations: Vec<Mutation> = params
+        .iter()
+        .enumerate()
+        .map(|(j, &(a, b))| (j * 3, a, b))
+        .collect();
+    for shards in [1usize, 2] {
+        let (full, checkpoints) =
+            resilient_run(shards, SelectionMode::Indexed, &extra, &mutations, None);
+        let extra_invoice = full.0.last().expect("the extra account is invoiced");
+        assert!(
+            extra_invoice.gross > Money::ZERO,
+            "the multi-group ads must deliver ({shards} shards)"
+        );
+        let (scan, _) = resilient_run(shards, SelectionMode::LinearScan, &extra, &mutations, None);
+        assert_eq!(full, scan, "indexed vs scan, {shards} shards");
+
+        assert!(checkpoints.len() >= 2, "the run checkpoints mid-flight");
+        let cp = EngineCheckpoint::from_bytes(&checkpoints[0]).expect("decodes");
+        let (resumed, later) = resilient_run(
+            shards,
+            SelectionMode::Indexed,
+            &extra,
+            &mutations,
+            Some(&cp),
+        );
+        assert_eq!(full, resumed, "resumed vs uninterrupted, {shards} shards");
+        assert_eq!(
+            later,
+            checkpoints[1..].to_vec(),
+            "resumed run retakes later checkpoints byte for byte ({shards} shards)"
+        );
     }
 }
