@@ -18,20 +18,37 @@
 //! group's keys are those leaves. The compiler reads the groups off the
 //! pass that lowers the spec ([`crate::compiled::ProgramArena::push`]),
 //! so every string is interned once. An ad is filed under each key of its
-//! first 64 groups, as a posting `(ad slot, group)`, and its `required`
-//! mask has one bit per filed group. Ads with no group go on the
-//! unanchored list.
+//! first 64 groups, as a posting `(ad slot, group)`, and sets its slot's
+//! bit in the `required` bitset of each group it files. Ads with no group
+//! go on the unanchored list.
+//!
+//! # Posting layout
+//!
+//! Every key keeps its posting list. A key whose list is long is also
+//! stored as dense **rows**: one bitset over ad slots, in 64-slot words,
+//! per group the key serves, with bit `s` set when the ad at slot `s`
+//! files the key under that group. The form is a fixed rule: a key has
+//! rows exactly while its list holds at least as many postings as its rows
+//! would span words in total (the groups it serves times the words up to
+//! its newest slot). The rule is checked each time the key gets a
+//! posting; a key that falls below it drops its rows. Rows are therefore
+//! never larger than the postings they repeat: they at most double the
+//! index's posting memory, and OR-ing a key's rows never touches more
+//! words than walking its list touches postings.
 //!
 //! # Candidates by counting
 //!
-//! A lookup walks the posting lists of the keys the user holds: the set
-//! bits of their attribute bitset, the audiences they belong to, and the
-//! visited-ZIP, home-ZIP and state symbols of their
-//! [`crate::profile::ProfileFacets`]. Each posting sets bit `group` in its
-//! ad's hit mask. An ad is a candidate when its mask equals its
-//! precomputed `required` mask, that is, when the user hit all of its
-//! groups. The masks live in a [`CountingBuffer`] the caller keeps, sized
-//! on demand and left all-zero after every lookup, so a lookup allocates
+//! A lookup visits the keys the user holds: the set bits of their
+//! attribute bitset, the audiences they belong to, and the visited-ZIP,
+//! home-ZIP and state symbols of their
+//! [`crate::profile::ProfileFacets`]. It keeps one hit bitset per group in
+//! a [`CountingBuffer`]: a key with rows ORs each row into its group's
+//! bitset a word at a time, and any other key sets one bit per posting.
+//! Candidates are then read word by word: the group-0 hits, ANDed for
+//! each further group with that group's hits OR the ads that do not
+//! require it. The result is the ads whose every group the user hit, in
+//! ascending slot order. The caller keeps the buffer; it is sized on
+//! demand and left all-zero after every lookup, so a lookup allocates
 //! nothing once the buffer has grown.
 //!
 //! # Soundness (candidate supersets)
@@ -68,10 +85,11 @@
 //!
 //! # Maintenance
 //!
-//! Posting lists are **append-only and status-independent**: an ad is
-//! filed once, at creation, under the groups of its (immutable) targeting
-//! spec. Pausing, policy rejection, budget exhaustion, and account
-//! suspension need **no index writes** — those are per-candidate checks
+//! Posting lists are **append-only and status-independent**, and rows
+//! change only when a posting is added: an ad is filed once, at creation,
+//! under the groups of its (immutable) targeting spec. Pausing, policy
+//! rejection, budget exhaustion, and account suspension need **no index
+//! writes** — those are per-candidate checks
 //! in the filter chain, exactly as on the linear path — and user profile
 //! mutations need none either, because lookup is driven by the live
 //! profile at decide time. This is what lets the engine's shard threads
@@ -193,53 +211,139 @@ struct Posting {
     group: u32,
 }
 
-/// Working memory of [`TargetingIndex::candidates_with`]: one hit mask
-/// per ad slot and the slots hit by the current lookup.
+/// A dense row: bit `s` of `words` is set when the ad at slot `s` files
+/// the row's key under group `group`. It ends at the word holding that
+/// group's newest slot.
+#[derive(Debug, Clone)]
+struct Row {
+    group: u32,
+    words: Vec<u64>,
+}
+
+/// Everything filed under one key: its postings, and, while the list is
+/// at least as long as its rows would be wide, the same postings as one
+/// row per group the key serves (see the [module docs](self)).
+#[derive(Debug, Clone, Default)]
+struct KeyList {
+    postings: Vec<Posting>,
+    /// The groups the key serves, one bit each.
+    groups: u64,
+    /// Empty while the key is stored as postings alone.
+    rows: Vec<Row>,
+}
+
+/// Sets bit `slot` of the bitset `words`, growing it on demand.
+fn set_bit(words: &mut Vec<u64>, slot: u32) {
+    let word = slot as usize / 64;
+    if word >= words.len() {
+        words.resize(word + 1, 0);
+    }
+    words[word] |= 1 << (slot % 64);
+}
+
+impl KeyList {
+    /// Adds the posting `(slot, group)`; `slot` is the newest slot filed.
+    fn file(&mut self, slot: u32, group: u32) {
+        self.postings.push(Posting { slot, group });
+        self.groups |= 1 << group;
+        let width = (slot as usize / 64 + 1) * self.groups.count_ones() as usize;
+        if self.postings.len() < width {
+            // Freed, not cleared: most keys stay short.
+            self.rows = Vec::new();
+            return;
+        }
+        // Promoted: every posting goes into a row. Already rows: only the
+        // new one does.
+        let fresh = if self.rows.is_empty() {
+            &self.postings[..]
+        } else {
+            &self.postings[self.postings.len() - 1..]
+        };
+        for p in fresh {
+            let row = match self.rows.iter().position(|r| r.group == p.group) {
+                Some(i) => &mut self.rows[i],
+                None => {
+                    self.rows.push(Row {
+                        group: p.group,
+                        words: Vec::new(),
+                    });
+                    self.rows.last_mut().expect("just pushed")
+                }
+            };
+            set_bit(&mut row.words, p.slot);
+        }
+    }
+
+    /// Marks this key's ads in `hits`, the per-group hit bitsets laid end
+    /// to end `words` words apart: a row at a time when the key has rows,
+    /// a bit per posting otherwise.
+    fn hit(&self, hits: &mut [u64], words: usize) {
+        if self.rows.is_empty() {
+            for p in &self.postings {
+                hits[p.group as usize * words + p.slot as usize / 64] |= 1 << (p.slot % 64);
+            }
+            return;
+        }
+        for row in &self.rows {
+            let start = row.group as usize * words;
+            let dst = &mut hits[start..start + row.words.len()];
+            for (h, &r) in dst.iter_mut().zip(&row.words) {
+                *h |= r;
+            }
+        }
+    }
+}
+
+/// Working memory of [`TargetingIndex::candidates_with`]: one hit bitset
+/// per group, in 64-slot words over the index's ad slots.
 ///
-/// Sized on demand to the index it is used with, and reset by every
-/// lookup before it returns, so one buffer serves any sequence of users
-/// (and indexes) and a caller that keeps it allocates nothing once it has
+/// Sized on demand to the index it is used with (at most one word per
+/// ad: 64 groups of one bit per ad), and left all-zero by every lookup
+/// before it returns, so one buffer serves any sequence of users (and
+/// indexes) and a caller that keeps it allocates nothing once it has
 /// grown.
 #[derive(Debug, Clone, Default)]
 pub struct CountingBuffer {
-    /// Groups hit so far, one mask per ad slot; all zero between lookups.
+    /// Group `g`'s hits in words `g * w .. (g + 1) * w`, where `w` is the
+    /// index's word count; all zero between lookups.
     hits: Vec<u64>,
-    /// Slots whose mask went non-zero during the current lookup.
-    touched: Vec<u32>,
 }
 
-/// The counting index over an ad inventory: key → postings, a `required`
-/// group mask per ad, and the unanchored catch-all. See the [module
-/// docs](self) for the soundness and exactness arguments.
+/// The counting index over an ad inventory: key → postings (and rows for
+/// long lists), a `required` bitset per group, and the unanchored
+/// catch-all. See the [module docs](self) for the layout and for the
+/// soundness and exactness arguments.
 ///
 /// Owned by [`crate::campaign::CampaignStore`], which files every ad at
 /// creation; all query methods take `&self`, so shard threads can share
 /// one index freely.
 #[derive(Debug, Clone, Default)]
 pub struct TargetingIndex {
-    /// Postings by raw attribute id.
-    by_attr: Vec<Vec<Posting>>,
-    /// Postings by raw audience id.
-    by_audience: Vec<Vec<Posting>>,
-    /// Postings by visited-ZIP symbol.
-    by_visited_zip: Vec<Vec<Posting>>,
-    /// Postings by home-ZIP symbol.
-    by_zip: Vec<Vec<Posting>>,
-    /// Postings by home-state symbol.
-    by_state: Vec<Vec<Posting>>,
-    /// One bit per indexed group of the ad at each slot; `0` for an
-    /// unanchored ad.
-    required: Vec<u64>,
+    /// Keys by raw attribute id.
+    by_attr: Vec<KeyList>,
+    /// Keys by raw audience id.
+    by_audience: Vec<KeyList>,
+    /// Keys by visited-ZIP symbol.
+    by_visited_zip: Vec<KeyList>,
+    /// Keys by home-ZIP symbol.
+    by_zip: Vec<KeyList>,
+    /// Keys by home-state symbol.
+    by_state: Vec<KeyList>,
+    /// `required[g]` has bit `s` set when the ad at slot `s` files a group
+    /// `g`; each bitset is a subset of the one before it.
+    required: Vec<Vec<u64>>,
+    /// Ads filed.
+    ads: usize,
     /// Ads with no group; candidates for every opportunity.
     unanchored: Vec<AdId>,
 }
 
-/// The posting list of key `ix` (a raw id or a symbol) in a dense key
-/// table, grown on demand.
-fn list_at(table: &mut Vec<Vec<Posting>>, ix: u64) -> &mut Vec<Posting> {
+/// The key list of key `ix` (a raw id or a symbol) in a dense key table,
+/// grown on demand.
+fn list_at(table: &mut Vec<KeyList>, ix: u64) -> &mut KeyList {
     let ix = usize::try_from(ix).expect("ids and symbols index dense tables");
     if ix >= table.len() {
-        table.resize_with(ix + 1, Vec::new);
+        table.resize_with(ix + 1, KeyList::default);
     }
     &mut table[ix]
 }
@@ -260,19 +364,21 @@ impl TargetingIndex {
     /// If `ad` is not the next id: ads are filed densely, `AdId(n)` at
     /// slot `n - 1`, as the store allocates them.
     pub fn insert(&mut self, ad: AdId, groups: &[ConjunctGroup]) {
-        let slot = self.required.len();
-        assert_eq!(ad.raw(), slot as u64 + 1, "ads are filed in id order");
-        let slot = u32::try_from(slot).expect("ad slots fit u32");
+        assert_eq!(ad.raw(), self.ads as u64 + 1, "ads are filed in id order");
+        let slot = u32::try_from(self.ads).expect("ad slots fit u32");
+        self.ads += 1;
         let groups = &groups[..groups.len().min(MAX_GROUPS)];
         if groups.is_empty() {
-            self.required.push(0);
             self.unanchored.push(ad);
             return;
         }
-        self.required.push(u64::MAX >> (MAX_GROUPS - groups.len()));
+        if self.required.len() < groups.len() {
+            self.required.resize_with(groups.len(), Vec::new);
+        }
         // A key repeated within a group posts twice and sets the same bit
         // twice: harmless, so groups are filed as given.
         for (group, keys) in (0u32..).zip(groups) {
+            set_bit(&mut self.required[group as usize], slot);
             for &key in keys {
                 let list = match key {
                     ConjunctKey::Attr(a) => list_at(&mut self.by_attr, a.raw()),
@@ -281,7 +387,7 @@ impl TargetingIndex {
                     ConjunctKey::Zip(z) => list_at(&mut self.by_zip, z.into()),
                     ConjunctKey::State(s) => list_at(&mut self.by_state, s.into()),
                 };
-                list.push(Posting { slot, group });
+                list.file(slot, group);
             }
         }
     }
@@ -309,7 +415,7 @@ impl TargetingIndex {
     }
 
     /// The allocation-free lookup: fills `out` (cleared first) with the
-    /// candidates for `user`, counting group hits in `counts`. A caller
+    /// candidates for `user`, marking group hits in `counts`. A caller
     /// that keeps `out` and `counts` across opportunities allocates
     /// nothing once both reach their high-water size.
     pub fn candidates_with<A: AudienceResolver>(
@@ -323,23 +429,16 @@ impl TargetingIndex {
         // No ad has a group, so there is nothing to count: answer without
         // reading the user's profile at all. The unanchored list is in id
         // order already.
-        if self.unanchored.len() == self.required.len() {
+        if self.unanchored.len() == self.ads {
             out.extend_from_slice(&self.unanchored);
             return;
         }
-        let CountingBuffer { hits, touched } = counts;
-        if hits.len() < self.required.len() {
-            hits.resize(self.required.len(), 0);
+        let words = self.ads.div_ceil(64);
+        let hits = &mut counts.hits;
+        if hits.len() < self.required.len() * words {
+            hits.resize(self.required.len() * words, 0);
         }
-        let mut hit = |list: &[Posting]| {
-            for p in list {
-                let mask = &mut hits[p.slot as usize];
-                if *mask == 0 {
-                    touched.push(p.slot);
-                }
-                *mask |= 1 << p.group;
-            }
-        };
+        let mut hit = |list: &KeyList| list.hit(hits, words);
         let facets = &user.facets;
         // Only the words that cover attributes with postings can hit.
         let attr_words = self.by_attr.len().div_ceil(64);
@@ -354,7 +453,7 @@ impl TargetingIndex {
             }
         }
         for (raw, list) in self.by_audience.iter().enumerate() {
-            if !list.is_empty() && audiences.contains(AudienceId(raw as u64), user.id) {
+            if !list.postings.is_empty() && audiences.contains(AudienceId(raw as u64), user.id) {
                 hit(list);
             }
         }
@@ -369,26 +468,39 @@ impl TargetingIndex {
         if let Some(list) = self.by_state.get(facets.state() as usize) {
             hit(list);
         }
-        for &slot in touched.iter() {
-            let slot = slot as usize;
-            if hits[slot] == self.required[slot] {
-                out.push(AdId(slot as u64 + 1));
+        // Read and clear the bitsets a word at a time. A group no ad of
+        // the word requires ends the word's walk: no later group is
+        // required there either, and none of their hit words is set.
+        let (first, rest) = hits.split_at_mut(words);
+        for (w, group0) in first.iter_mut().enumerate() {
+            let mut acc = std::mem::take(group0);
+            for (g, required) in self.required.iter().enumerate().skip(1) {
+                let need = required.get(w).copied().unwrap_or(0);
+                if need == 0 {
+                    break;
+                }
+                acc &= std::mem::take(&mut rest[(g - 1) * words + w]) | !need;
             }
-            hits[slot] = 0;
+            let base = w as u64 * 64 + 1;
+            while acc != 0 {
+                out.push(AdId(base + u64::from(acc.trailing_zeros())));
+                acc &= acc - 1;
+            }
         }
-        touched.clear();
-        out.extend_from_slice(&self.unanchored);
-        out.sort_unstable();
+        if !self.unanchored.is_empty() {
+            out.extend_from_slice(&self.unanchored);
+            out.sort_unstable();
+        }
     }
 
     /// Number of ads filed.
     pub fn len(&self) -> usize {
-        self.required.len()
+        self.ads
     }
 
     /// True if no ads are filed.
     pub fn is_empty(&self) -> bool {
-        self.required.is_empty()
+        self.ads == 0
     }
 
     /// Number of ads on the catch-all (scanned-for-everyone) list.
@@ -633,7 +745,9 @@ mod proptests {
     use crate::compiled::ProgramArena;
     use crate::profile::{Gender, ProfileStore};
     use crate::targeting::{TargetingExpr, TargetingSpec};
+    use adsim_types::SymbolTable;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn arb_expr() -> impl Strategy<Value = TargetingExpr> {
         let leaf = prop_oneof![
@@ -722,7 +836,151 @@ mod proptests {
         }
     }
 
+    /// A generated ad's groups as `(class, value)` key choices (see
+    /// [`key_of`]): none (unanchored), one to three over a small pool so
+    /// that lists grow long enough for rows, or, for a wide ad, 64 groups
+    /// over attributes 7–12 followed by groups on attribute 50, which no
+    /// generated user holds.
+    fn arb_groups() -> impl Strategy<Value = Vec<Vec<(u8, u8)>>> {
+        let narrow = prop::collection::vec(prop::collection::vec((0u8..5, 0u8..6), 1..3), 1..4);
+        let wide = (
+            prop::collection::vec(prop::collection::vec(6u8..12, 1..3), 64..65),
+            1usize..6,
+        )
+            .prop_map(|(groups, extra)| {
+                groups
+                    .into_iter()
+                    .map(|g| g.into_iter().map(|v| (0, v)).collect())
+                    .chain(std::iter::repeat_n(vec![(0, 49)], extra))
+                    .collect()
+            });
+        // One arm in 14 unanchored, one wide, the rest narrow.
+        let mut arms = vec![Just(Vec::new()).boxed(), wide.boxed()];
+        arms.extend(std::iter::repeat_n(narrow.boxed(), 12));
+        proptest::strategy::union(arms)
+    }
+
+    const STATES: [&str; 3] = ["Ohio", "Texas", "Utah"];
+
+    /// The targeting leaf and the index key of a generated key choice:
+    /// class 0 is attribute `value + 1`, 1 an audience, 2 a visited ZIP,
+    /// 3 a home ZIP, 4 a state.
+    fn key_of((class, v): (u8, u8), symbols: &mut SymbolTable) -> (TargetingExpr, ConjunctKey) {
+        let zip = format!("9{v}");
+        match class {
+            0 => {
+                let a = AttributeId(u64::from(v) + 1);
+                (TargetingExpr::Attr(a), ConjunctKey::Attr(a))
+            }
+            1 => {
+                let a = AudienceId(u64::from(v % 3) + 1);
+                (TargetingExpr::InAudience(a), ConjunctKey::Audience(a))
+            }
+            2 => (
+                TargetingExpr::VisitedZip(zip.clone()),
+                ConjunctKey::VisitedZip(symbols.intern(&zip)),
+            ),
+            3 => (
+                TargetingExpr::InZip(zip.clone()),
+                ConjunctKey::Zip(symbols.intern(&zip)),
+            ),
+            _ => {
+                let state = STATES[usize::from(v % 3)];
+                (
+                    TargetingExpr::InState(state.into()),
+                    ConjunctKey::State(symbols.intern(state)),
+                )
+            }
+        }
+    }
+
+    /// One generated user: `((attributes, holds every wide-ad attribute),
+    /// home ZIP, visited ZIPs, audiences joined, state)`.
+    type KeyedUser = ((BTreeSet<u64>, bool), u8, Vec<u8>, Vec<u64>, u8);
+
+    fn arb_keyed_user() -> impl Strategy<Value = KeyedUser> {
+        (
+            (prop::collection::btree_set(1u64..13, 0..8), any::<bool>()),
+            0u8..6,
+            prop::collection::vec(0u8..6, 0..4),
+            prop::collection::vec(1u64..4, 0..3),
+            0u8..3,
+        )
+    }
+
     proptest! {
+        /// A few hundred ads over a small key pool, filed in three
+        /// batches with every user looked up on one reused buffer after
+        /// each: long lists go to rows and short ones stay postings, and
+        /// the candidates are exactly the ads whose first 64 groups the
+        /// user all hits (by the tree evaluator's reading of each key),
+        /// plus the unanchored ones, as a fresh buffer finds them too.
+        #[test]
+        fn word_parallel_candidates_match_a_brute_force_reference(
+            ads in prop::collection::vec(arb_groups(), 1..300),
+            users in prop::collection::vec(arb_keyed_user(), 1..6),
+        ) {
+            let mut profiles = ProfileStore::new();
+            let ads: Vec<Vec<Vec<(TargetingExpr, ConjunctKey)>>> = ads
+                .into_iter()
+                .map(|groups| {
+                    groups
+                        .into_iter()
+                        .map(|g| g.into_iter().map(|k| key_of(k, profiles.symbols_mut())).collect())
+                        .collect()
+                })
+                .collect();
+            let mut audiences = audience_store();
+            let ids: Vec<_> = users
+                .iter()
+                .map(|((attrs, wide), zip, visited, joined, state)| {
+                    let state = STATES[usize::from(*state)];
+                    let u = profiles.register(33, Gender::Female, state, &format!("9{zip}"));
+                    let wide_attrs = (7..=12).filter(|_| *wide);
+                    for a in attrs.iter().copied().chain(wide_attrs) {
+                        profiles.grant_attribute(u, AttributeId(a)).expect("grant");
+                    }
+                    for z in visited {
+                        profiles.record_zip_visit(u, &format!("9{z}")).expect("visit");
+                    }
+                    for &a in joined {
+                        audiences.record_pixel_visit(adsim_types::PixelId(a), u);
+                    }
+                    u
+                })
+                .collect();
+
+            let mut index = TargetingIndex::new();
+            let mut counts = CountingBuffer::default();
+            let mut out = Vec::new();
+            let batch = ads.len().div_ceil(3);
+            for filed in (1..=3).map(|b| (b * batch).min(ads.len())) {
+                for (slot, groups) in ads.iter().enumerate().skip(index.len()).take(filed - index.len()) {
+                    let keys: Vec<ConjunctGroup> = groups
+                        .iter()
+                        .map(|g| g.iter().map(|(_, key)| *key).collect())
+                        .collect();
+                    index.insert(AdId(slot as u64 + 1), &keys);
+                }
+                for &id in &ids {
+                    let user = profiles.get(id).expect("user");
+                    let want: Vec<AdId> = (1..)
+                        .map(AdId)
+                        .zip(&ads[..filed])
+                        .filter(|(_, groups)| {
+                            groups.iter().take(MAX_GROUPS).all(|g| {
+                                g.iter().any(|(leaf, _)| leaf.matches(user, &audiences))
+                            })
+                        })
+                        .map(|(ad, _)| ad)
+                        .collect();
+                    index.candidates_with(user, &audiences, &mut counts, &mut out);
+                    prop_assert_eq!(&out, &want, "{} ads filed", filed);
+                    prop_assert_eq!(&out, &index.candidates(user, &audiences));
+                }
+            }
+        }
+
         /// The core soundness property: whatever the expression and
         /// whoever the user, a matching ad is always in the candidate
         /// set. (Pruning a matching ad would silently change auction

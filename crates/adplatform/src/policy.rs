@@ -97,29 +97,29 @@ impl PolicyEngine {
             }
         }
 
-        let second_person = SECOND_PERSON.iter().any(|m| text.contains(m));
+        // Under `Standard`, vocabulary rejects only second-person phrasing:
+        // without a marker no word can, so the vocabulary is not searched.
+        if self.strictness == Strictness::Standard
+            && !SECOND_PERSON.iter().any(|m| text.contains(m))
+        {
+            return Ok(());
+        }
         for word in &self.vocabulary {
             if word.len() < 4 {
                 // Tiny cores ("ios") would false-positive everywhere.
                 continue;
             }
             if text.contains(word.as_str()) {
-                match self.strictness {
+                let reason = match self.strictness {
                     Strictness::Strict => {
-                        return Err(Error::PolicyViolation {
-                            reason: format!("mentions targeting-attribute vocabulary: \"{word}\""),
-                        });
+                        format!("mentions targeting-attribute vocabulary: \"{word}\"")
                     }
-                    Strictness::Standard if second_person => {
-                        return Err(Error::PolicyViolation {
-                            reason: format!(
-                                "asserts or implies a personal attribute: second-person \
-                                 phrasing with \"{word}\""
-                            ),
-                        });
-                    }
-                    Strictness::Standard => {}
-                }
+                    Strictness::Standard => format!(
+                        "asserts or implies a personal attribute: second-person \
+                         phrasing with \"{word}\""
+                    ),
+                };
+                return Err(Error::PolicyViolation { reason });
             }
         }
         Ok(())
@@ -254,6 +254,99 @@ mod tests {
         ] {
             assert!(e.review(&AdCreative::text(h, b)).is_ok(), "rejected: {h}");
         }
+    }
+
+    /// `review` before the `Standard` early return: every vocabulary
+    /// word is searched whatever the strictness.
+    fn review_searching_every_word(e: &PolicyEngine, creative: &AdCreative) -> Result<()> {
+        let text = creative.visible_text().to_lowercase();
+        for phrase in ASSERTION_PHRASES {
+            if text.contains(phrase) {
+                return Err(Error::PolicyViolation {
+                    reason: format!("asserts personal knowledge: contains \"{phrase}\""),
+                });
+            }
+        }
+        let second_person = SECOND_PERSON.iter().any(|m| text.contains(m));
+        for word in &e.vocabulary {
+            if word.len() < 4 {
+                continue;
+            }
+            if text.contains(word.as_str()) {
+                match e.strictness {
+                    Strictness::Strict => {
+                        return Err(Error::PolicyViolation {
+                            reason: format!("mentions targeting-attribute vocabulary: \"{word}\""),
+                        });
+                    }
+                    Strictness::Standard if second_person => {
+                        return Err(Error::PolicyViolation {
+                            reason: format!(
+                                "asserts or implies a personal attribute: second-person \
+                                 phrasing with \"{word}\""
+                            ),
+                        });
+                    }
+                    Strictness::Standard => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn skipping_the_vocabulary_without_a_marker_changes_no_verdict() {
+        let partner = treads_broker::PartnerCatalog::us();
+        let catalog = AttributeCatalog::us_2018(&partner);
+        let standard = PolicyEngine::new(Strictness::Standard, &catalog);
+        let strict = PolicyEngine::new(Strictness::Strict, &catalog);
+        let long: Vec<&str> = standard
+            .vocabulary
+            .iter()
+            .map(String::as_str)
+            .filter(|w| w.len() >= 4)
+            .step_by(97)
+            .collect();
+        let short = standard
+            .vocabulary
+            .iter()
+            .find(|w| w.len() < 4)
+            .expect("the catalog has a short core");
+        let mut words = vec!["", short.as_str()];
+        words.extend(long);
+        let markers = [
+            "", "you are", "You're", "YOUR ", "you have", "you live", "you were",
+            // Near misses that are not markers.
+            "you", "yours", "young",
+        ];
+        let tails = ["", "this platform knows", "20% off this week"];
+        // Doubled spaces break every marker apart.
+        let double_spaced = |s: &str| s.replace(' ', "  ");
+        let cases: [fn(&str) -> String; 3] = [str::to_string, str::to_uppercase, double_spaced];
+        let mut rejected = [0usize; 2];
+        for word in &words {
+            for marker in markers {
+                for tail in tails {
+                    for case in cases {
+                        let body = case(&format!("{marker} into {word}, {tail}"));
+                        let creative = AdCreative::text(case(word), body);
+                        for (i, e) in [&standard, &strict].into_iter().enumerate() {
+                            let got = e.review(&creative);
+                            assert_eq!(
+                                got,
+                                review_searching_every_word(e, &creative),
+                                "{:?}: {creative:?}",
+                                e.strictness
+                            );
+                            rejected[i] += usize::from(got.is_err());
+                        }
+                    }
+                }
+            }
+        }
+        // Both verdicts occur under both strictness levels.
+        let total = words.len() * markers.len() * tails.len() * cases.len();
+        assert!(rejected.iter().all(|&r| r > 0 && r < total), "{rejected:?}");
     }
 
     #[test]

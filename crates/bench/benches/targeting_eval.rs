@@ -1,14 +1,20 @@
 //! Targeting-evaluator micro-bench: the hot predicate of the delivery
 //! contract. Evaluated once per (eligible ad × impression opportunity), so
 //! its cost bounds platform throughput.
+//!
+//! `targeting/index_select` times the candidate selection that precedes
+//! it, the layer the repository benchmark traces as
+//! `adplatform.index.select_ns`.
 
 use adplatform::attributes::AttributeCatalog;
 use adplatform::audience::AudienceStore;
+use adplatform::campaign::{AdCreative, CampaignStore};
 use adplatform::compiled::CompiledSpec;
 use adplatform::dsl;
-use adplatform::profile::{Gender, ProfileStore};
+use adplatform::index::CountingBuffer;
+use adplatform::profile::{Gender, ProfileStore, UserProfile};
 use adplatform::targeting::{TargetingExpr, TargetingSpec};
-use adsim_types::{AttributeId, AudienceId};
+use adsim_types::{AccountId, AdId, AttributeId, AudienceId, Money};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_expression_shapes(c: &mut Criterion) {
@@ -158,10 +164,130 @@ fn bench_dsl(c: &mut Criterion) {
     group.finish();
 }
 
+/// A ZIP of the inventory shape's pool (`pool` ZIPs from 20000).
+fn pool_zip(n: u64, pool: u64) -> String {
+    format!("{:05}", 20_000 + n % pool)
+}
+
+/// The `batch-inventory` workload's platform, without the platform: 2,000
+/// ads of three conjunct groups (geo, six visited ZIPs, one of 50
+/// attributes) around an age range, and 300 users with a home state and
+/// ZIP, 12 attributes and 24 visited ZIPs each.
+fn inventory_shape() -> (CampaignStore, ProfileStore) {
+    const STATES: [&str; 4] = ["Ohio", "Texas", "California", "Pennsylvania"];
+    let (ads, pool) = (2_000u64, 1_000u64);
+    let mut campaigns = CampaignStore::new();
+    let mut profiles = ProfileStore::new();
+    let camp = campaigns.create_campaign(AccountId(1), "inventory", Money::dollars(3), None);
+    for j in 0..ads {
+        let spec = TargetingSpec::including_excluding(
+            TargetingExpr::And(vec![
+                TargetingExpr::Or(vec![
+                    TargetingExpr::InState(STATES[(j % 4) as usize].into()),
+                    TargetingExpr::InState(STATES[((j + 1) % 4) as usize].into()),
+                    TargetingExpr::InZip(pool_zip(j * 3, pool)),
+                ]),
+                TargetingExpr::Or(
+                    (0..6)
+                        .map(|k| TargetingExpr::VisitedZip(pool_zip(j * 5 + k, pool)))
+                        .collect(),
+                ),
+                TargetingExpr::AgeRange {
+                    min: 18,
+                    max: 18 + (j % 55 + 5) as u8,
+                },
+                TargetingExpr::Attr(AttributeId(j % 50 + 1)),
+            ]),
+            TargetingExpr::VisitedZip(pool_zip(j * 11 + 7, pool)),
+        );
+        campaigns
+            .create_ad(
+                camp,
+                AdCreative::text("inventory", "ad"),
+                spec,
+                profiles.symbols_mut(),
+            )
+            .expect("ad");
+    }
+    for i in 0..300u64 {
+        let id = profiles.register(
+            18 + (i % 60) as u8,
+            Gender::Female,
+            STATES[(i % 4) as usize],
+            &pool_zip(i, pool),
+        );
+        for k in 0..12 {
+            profiles
+                .grant_attribute(id, AttributeId((i * 7 + k * 5 + 3) % 50 + 1))
+                .expect("grant");
+        }
+        for k in 0..24 {
+            profiles
+                .record_zip_visit(id, &pool_zip(i * 13 + k * 3, pool))
+                .expect("visit");
+        }
+    }
+    (campaigns, profiles)
+}
+
+/// E16's ad-count sweep at 10k ads: one attribute group each over 50
+/// attributes, and 300 users holding three attributes each.
+fn one_group_shape() -> (CampaignStore, ProfileStore) {
+    let mut campaigns = CampaignStore::new();
+    let mut profiles = ProfileStore::new();
+    let camp = campaigns.create_campaign(AccountId(1), "sweep", Money::dollars(3), None);
+    for j in 0..10_000u64 {
+        campaigns
+            .create_ad(
+                camp,
+                AdCreative::text("sweep", "ad"),
+                TargetingSpec::including(TargetingExpr::Attr(AttributeId(j % 50 + 1))),
+                profiles.symbols_mut(),
+            )
+            .expect("ad");
+    }
+    for i in 0..300u64 {
+        let id = profiles.register(30, Gender::Female, "Ohio", "43004");
+        for k in [i % 50, (i * 7 + 3) % 50, (i * 13 + 11) % 50] {
+            profiles
+                .grant_attribute(id, AttributeId(k + 1))
+                .expect("grant");
+        }
+    }
+    (campaigns, profiles)
+}
+
+/// Index candidate selection on a reused counting buffer, one user after
+/// another, as a stage-1 build calls it.
+fn bench_index_select(c: &mut Criterion) {
+    let audiences = AudienceStore::new(20, 1000, 100);
+    let mut group = c.benchmark_group("targeting/index_select");
+    for (name, (campaigns, profiles)) in [
+        ("inventory_2k_ads", inventory_shape()),
+        ("one_group_10k_ads", one_group_shape()),
+    ] {
+        let users: Vec<&UserProfile> = profiles.iter().collect();
+        let index = campaigns.index();
+        let mut counts = CountingBuffer::default();
+        let mut out: Vec<AdId> = Vec::new();
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let user = users[next % users.len()];
+                next += 1;
+                index.candidates_with(black_box(user), &audiences, &mut counts, &mut out);
+                out.len()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_expression_shapes,
     bench_eval_modes,
-    bench_dsl
+    bench_dsl,
+    bench_index_select
 );
 criterion_main!(benches);

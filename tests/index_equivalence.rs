@@ -11,14 +11,16 @@
 //! (mode ∈ {Indexed, LinearScan}) combination and requires byte-identical
 //! invoices, ad reports, and decoded Tread sets. Postings key on interned
 //! symbols, so a run of multi-group ads checkpointed mid-flight and
-//! resumed on a fresh host must match too.
+//! resumed on a fresh host must match too. An inventory of a few hundred
+//! ads over a handful of keys makes long lists, which the index stores as
+//! dense rows, and must match the scan impression for impression.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use treads_repro::adplatform::billing::Invoice;
 use treads_repro::adplatform::campaign::AdCreative;
 use treads_repro::adplatform::index::SelectionMode;
-use treads_repro::adplatform::reporting::AdReport;
+use treads_repro::adplatform::reporting::{AdReport, Impression};
 use treads_repro::adplatform::targeting::{TargetingExpr, TargetingSpec};
 use treads_repro::adsim_types::{AccountId, AttributeId, Money, UserId};
 use treads_repro::engine::{Engine, EngineCheckpoint, EngineConfig, ResilienceOptions};
@@ -333,5 +335,54 @@ fn multi_group_resume_matches_full_and_scan_runs() {
             checkpoints[1..].to_vec(),
             "resumed run retakes later checkpoints byte for byte ({shards} shards)"
         );
+    }
+}
+
+/// 256 extra ads whose attributes and ZIPs come from pools of 8 and whose
+/// states from 3, so most keys post far more ads than their rows span
+/// words and the index ORs them a row at a time (DESIGN.md §9), beside
+/// short home-ZIP lists it still walks. Every user gains one of those
+/// attributes and ZIPs. The indexed run must deliver the extra ads and
+/// match the linear scan's outputs and impression log at 1, 2 and 8
+/// shards.
+#[test]
+fn dense_rows_agree_with_scan_across_shard_counts() {
+    let extra: Vec<ExtraAd> = (0..256u64)
+        .map(|j| ((j % 10) as u8, j % 8, (j * 3 + 1) % 8))
+        .collect();
+    let mutations: Vec<Mutation> = (0..POPULATION as u64)
+        .map(|i| (i as usize, i % 8, i * 5 % 8))
+        .collect();
+    let run_logged = |shards: usize, mode: SelectionMode| -> (Outputs, Vec<Impression>) {
+        let mut h = host(mode, &extra, &mutations);
+        let outcome =
+            engine(shards).run(&mut h.s.platform, &h.sites, &h.s.users, &h.extension_users);
+        let log = h.s.platform.log.all().to_vec();
+        (
+            outputs(&h, &outcome.extensions, outcome.report.impressions),
+            log,
+        )
+    };
+    let baseline = run_logged(1, SelectionMode::Indexed);
+    let extra_invoice = baseline.0 .0.last().expect("the extra account is invoiced");
+    assert!(
+        extra_invoice.gross > Money::ZERO,
+        "the extra ads must deliver"
+    );
+    for shards in [1usize, 2, 8] {
+        for mode in [SelectionMode::Indexed, SelectionMode::LinearScan] {
+            if shards == 1 && mode == SelectionMode::Indexed {
+                continue;
+            }
+            let other = run_logged(shards, mode);
+            assert_eq!(
+                baseline.0, other.0,
+                "outputs differ at {shards} shards / {mode:?}"
+            );
+            assert!(
+                baseline.1 == other.1,
+                "impression logs differ at {shards} shards / {mode:?}"
+            );
+        }
     }
 }
