@@ -18,14 +18,12 @@ use crate::auction::AuctionConfig;
 use crate::audience::{AudienceStore, ReachEstimate};
 use crate::billing::{BillingLedger, BudgetView, Invoice};
 use crate::campaign::{AdCreative, AdStatus, CampaignStore};
-use crate::compiled::EvalMode;
 use crate::delivery::{
     self, apply_impression, candidate_verdicts, decide_opportunity_traced_with_scratch,
     CandidateVerdict, DeliveryScratch, DeliveryStats, FrequencyCaps, MatchSet, PendingImpression,
     TracedDecision,
 };
 use crate::enforcement::{scan_account, EnforcementConfig, SuspicionReport};
-use crate::index::SelectionMode;
 use crate::pages::PageRegistry;
 use crate::pixel::PixelRegistry;
 use crate::policy::{PolicyEngine, Strictness};
@@ -63,12 +61,6 @@ pub struct PlatformConfig {
     pub strictness: Strictness,
     /// Enforcement detector parameters.
     pub enforcement: EnforcementConfig,
-    /// How delivery gathers candidate ads (indexed by default; the
-    /// linear scan is the verification oracle).
-    pub candidate_selection: SelectionMode,
-    /// How delivery evaluates a candidate's targeting spec (compiled
-    /// programs by default; the tree walk is the verification oracle).
-    pub targeting_eval: EvalMode,
 }
 
 impl Default for PlatformConfig {
@@ -91,8 +83,6 @@ impl PlatformConfig {
             auction: AuctionConfig::default(),
             strictness: Strictness::Standard,
             enforcement: EnforcementConfig::default(),
-            candidate_selection: SelectionMode::default(),
-            targeting_eval: EvalMode::default(),
         }
     }
 
@@ -194,12 +184,7 @@ impl Platform {
             ),
             pixels: PixelRegistry::new(),
             pages: PageRegistry::new(),
-            campaigns: {
-                let mut c = CampaignStore::new();
-                c.set_selection_mode(config.candidate_selection);
-                c.set_eval_mode(config.targeting_eval);
-                c
-            },
+            campaigns: CampaignStore::new(),
             billing: BillingLedger::new(config.small_spend_waiver),
             freq: FrequencyCaps::new(config.frequency_cap),
             log: ImpressionLog::new(),

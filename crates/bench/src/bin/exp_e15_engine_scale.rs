@@ -8,11 +8,12 @@
 //! telemetry counters and flight journal), then runs a million-user
 //! population end to end.
 //!
-//! Every run is instrumented through `run_instrumented`, so the sweep also
-//! yields a per-phase wall-time breakdown (session-gen / auction /
-//! delivery / merge / apply) with p50/p95/p99 tick latencies, and a
-//! same-binary overhead measurement (telemetry enabled vs the disabled
-//! handle `Engine::run` uses).
+//! Every run records into an enabled handle through
+//! `Engine::run_with_telemetry`, so the sweep also yields a per-phase
+//! wall-time breakdown (session-gen / auction / delivery / merge / apply)
+//! with p50/p95/p99 tick latencies, and a same-binary overhead
+//! measurement (telemetry enabled vs the disabled handle `Engine::run`
+//! uses).
 //!
 //! Emits `BENCH_engine.json` with the measured throughput and telemetry
 //! overhead, plus `experiments-out/telemetry_engine_scale.{json,prom}` —
@@ -364,12 +365,13 @@ fn measure(
         ..EngineConfig::default()
     });
     let start = Instant::now();
-    let (outcome, telemetry) = if instrumented {
-        engine.run_instrumented(&mut p, &sites, &users, &BTreeSet::new())
+    let mut telemetry = if instrumented {
+        Telemetry::new()
     } else {
-        let outcome = engine.run(&mut p, &sites, &users, &BTreeSet::new());
-        (outcome, Telemetry::disabled())
+        Telemetry::disabled()
     };
+    let outcome =
+        engine.run_with_telemetry(&mut p, &sites, &users, &BTreeSet::new(), &mut telemetry);
     let elapsed_s = start.elapsed().as_secs_f64();
     let account = p
         .campaigns
@@ -389,7 +391,7 @@ fn measure(
 }
 
 /// `(count, [p50, p95, p99])` of a named histogram, zeros when absent
-/// (e.g. when the engine's `telemetry` feature is compiled out).
+/// (e.g. on a disabled handle).
 fn histo_stats(t: &Telemetry, name: &str) -> (u64, [u64; 3]) {
     t.metrics()
         .histogram(name)
@@ -769,12 +771,12 @@ fn main() {
     }
     let (_, ckpt_out, ckpt_invoiced, ckpt_log_len) = checkpointed.expect("checkpointed run ran");
     let (_, delta_out, delta_invoiced, delta_log_len) = deltaed.expect("delta run ran");
-    let n_checkpoints = ckpt_out.checkpoints.len();
+    let n_checkpoints = ckpt_out.frames.len();
     assert!(n_checkpoints > 0, "every-tick cadence took checkpoints");
     let n_frames = delta_out.frames.len();
     assert_eq!(n_frames, n_checkpoints, "one frame per checkpointed tick");
     let encode_start = Instant::now();
-    let first_bytes = ckpt_out.checkpoints[0].to_bytes();
+    let first_bytes = ckpt_out.frames[0].to_bytes();
     let encode_ms = encode_start.elapsed().as_secs_f64() * 1e3;
     let ckpt_bytes = first_bytes.len();
     let ckpt_overhead_pct = (every_tick_s - plain_ckpt_s) / plain_ckpt_s * 100.0;
@@ -819,7 +821,7 @@ fn main() {
             fold_frames(&delta_out.frames[..=i])
                 .expect("frame chain folds")
                 .to_bytes()
-                == ckpt_out.checkpoints[i].to_bytes()
+                == ckpt_out.frames[i].to_bytes()
         });
     println!(
         "  every base+delta prefix folds byte-identical to the full snapshot: {}",
@@ -1118,8 +1120,7 @@ fn main() {
         phases_recorded,
     );
     // Journaling every auction costs ~30ns on an ~800ns workload, so the
-    // honest enabled-overhead floor is low single digits; the compiled-out
-    // path (--no-default-features) is exactly zero by construction.
+    // honest enabled-overhead floor is low single digits.
     verdict(
         "instrumentation overhead stays in low single digits (<8%)",
         overhead_pct < 8.0,

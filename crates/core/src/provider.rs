@@ -263,6 +263,27 @@ impl TransparencyProvider {
         self.pii_audiences.get(batch).copied()
     }
 
+    /// Resolves a Tread's targeting through the *public* catalog — the
+    /// provider has no privileged access. `None` when the catalog or the
+    /// provider's PII batches lack something the Tread names.
+    fn targeting(
+        &self,
+        platform: &Platform,
+        tread: &Tread,
+        optin_audience: AudienceId,
+    ) -> Option<TargetingSpec> {
+        let catalog = &platform.attributes;
+        tread.targeting(
+            optin_audience,
+            |name| catalog.id_of(name),
+            |group, bit| {
+                let members: Vec<_> = catalog.group(group).iter().map(|d| d.id).collect();
+                group_bit_members(&members, bit)
+            },
+            |batch| self.pii_audiences.get(batch).copied(),
+        )
+    }
+
     /// Runs a plan against the opted-in audience under the given account:
     /// one campaign per Tread (so the platform's per-campaign small-spend
     /// waiver applies exactly as in the paper's validation), one ad each.
@@ -276,21 +297,7 @@ impl TransparencyProvider {
         let mut placed = Vec::with_capacity(plan.len());
         let mut unplaceable = Vec::new();
         for planned in &plan.treads {
-            // Resolve targeting through the *public* catalog — the
-            // provider has no privileged access.
-            let targeting = {
-                let catalog = &platform.attributes;
-                planned.tread.targeting(
-                    optin_audience,
-                    |name| catalog.id_of(name),
-                    |group, bit| {
-                        let members: Vec<_> = catalog.group(group).iter().map(|d| d.id).collect();
-                        group_bit_members(&members, bit)
-                    },
-                    |batch| self.pii_audiences.get(batch).copied(),
-                )
-            };
-            let Some(targeting) = targeting else {
+            let Some(targeting) = self.targeting(platform, &planned.tread, optin_audience) else {
                 unplaceable.push(planned.index);
                 continue;
             };
@@ -356,19 +363,7 @@ impl TransparencyProvider {
         let mut prepared = Vec::with_capacity(plan.len());
         let mut unplaceable = Vec::new();
         for planned in &plan.treads {
-            let targeting = {
-                let catalog = &platform.attributes;
-                planned.tread.targeting(
-                    optin_audience,
-                    |name| catalog.id_of(name),
-                    |group, bit| {
-                        let members: Vec<_> = catalog.group(group).iter().map(|d| d.id).collect();
-                        group_bit_members(&members, bit)
-                    },
-                    |batch| self.pii_audiences.get(batch).copied(),
-                )
-            };
-            let Some(targeting) = targeting else {
+            let Some(targeting) = self.targeting(platform, &planned.tread, optin_audience) else {
                 unplaceable.push(planned.index);
                 continue;
             };

@@ -9,7 +9,9 @@ use parking_lot::Mutex;
 use treads_resilience::checkpoint::{
     ConfigEcho, EngineCheckpoint, ReportCounters, ShardCheckpoint,
 };
-use treads_resilience::delta::{CheckpointFrame, DeltaHead, DeltaTracker, ShardDeltaSource};
+use treads_resilience::delta::{
+    CheckpointFrame, DeltaFrame, DeltaHead, DeltaTracker, ShardDeltaSource,
+};
 use treads_resilience::ledger::{receipts_from_impressions, ReceiptLedger};
 use treads_resilience::{FaultPlan, FaultReport};
 use treads_telemetry::{
@@ -56,24 +58,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Counters from one engine run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineReport {
-    /// Users simulated.
-    pub users: u64,
-    /// Shards the run used.
-    pub shards: u64,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Page views processed.
-    pub page_views: u64,
-    /// Pixel fires applied to the platform.
-    pub pixel_fires: u64,
-    /// Impression opportunities auctioned.
-    pub opportunities: u64,
-    /// Impressions delivered (auctions won by advertiser ads).
-    pub impressions: u64,
-}
+/// Counters from one engine run: the same struct every checkpoint frame
+/// carries, so a frame copies the report whole and a resume restores it.
+pub type EngineReport = ReportCounters;
 
 /// Everything an engine run produces beyond the platform mutations.
 #[derive(Debug)]
@@ -95,15 +82,14 @@ pub struct ResilienceOptions {
     /// Re-execution attempts the supervisor grants a crashed shard tick
     /// before abandoning its work as [`treads_resilience::LostWork`].
     pub max_retries_per_shard_tick: u32,
-    /// Take an [`EngineCheckpoint`] after every N completed ticks
+    /// Take a [`CheckpointFrame`] after every N completed ticks
     /// (0 = never).
     pub checkpoint_every_ticks: u64,
-    /// When > 0, cadence checkpoints are emitted as incremental
-    /// [`CheckpointFrame`]s instead of full [`EngineCheckpoint`]s: every
-    /// `delta_base_every`-th frame is a full base, the rest are
+    /// Frame 0, and every `delta_base_every`-th frame after it, is a full
+    /// base ([`CheckpointFrame::Full`]); the frames between are
     /// [`treads_resilience::DeltaFrame`]s carrying only the slots mutated
     /// since the previous frame (see [`ResilientOutcome::frames`]).
-    /// 0 keeps the legacy full-checkpoint behavior.
+    /// 0 and 1 both make every frame a base.
     pub delta_base_every: u64,
 }
 
@@ -118,23 +104,20 @@ impl Default for ResilienceOptions {
     }
 }
 
-/// An [`EngineOutcome`] plus the supervisor's fault accounting and any
-/// checkpoints taken along the way.
+/// An [`EngineOutcome`] plus the supervisor's fault accounting and the
+/// checkpoint frames taken along the way.
 #[derive(Debug)]
 pub struct ResilientOutcome {
     /// The simulation outcome.
     pub outcome: EngineOutcome,
     /// What was injected, recovered, and lost.
     pub faults: FaultReport,
-    /// Checkpoints taken at tick boundaries, in tick order (legacy
-    /// full-checkpoint mode: [`ResilienceOptions::delta_base_every`]` ==
-    /// 0`; empty otherwise).
-    pub checkpoints: Vec<EngineCheckpoint>,
-    /// Incremental checkpoint frames, in tick order (delta mode:
-    /// [`ResilienceOptions::delta_base_every`]` > 0`; empty otherwise).
-    /// Fold any prefix ending at frame `i` with
-    /// [`treads_resilience::fold_frames`] to recover the full checkpoint
-    /// at that tick, byte-identical to what legacy mode would have taken.
+    /// Checkpoint frames taken at tick boundaries, in tick order, on the
+    /// [`ResilienceOptions`] cadence (empty when
+    /// `checkpoint_every_ticks` is 0). Fold any prefix ending at frame
+    /// `i` with [`treads_resilience::fold_frames`] to recover the full
+    /// [`EngineCheckpoint`] at that tick; a base frame is that
+    /// checkpoint itself.
     pub frames: Vec<CheckpointFrame>,
 }
 
@@ -312,35 +295,22 @@ impl Engine {
         self.run_with_telemetry(platform, sites, users, extension_users, &mut telemetry)
     }
 
-    /// [`Engine::run`] with full observability: returns the outcome plus a
-    /// [`Telemetry`] snapshot holding per-phase wall-time histograms
+    /// [`Engine::run`] recording into the caller's `telemetry` handle.
+    /// An enabled handle collects per-phase wall-time histograms
     /// (`phase.session_gen_ns`, `phase.auction_ns`, `phase.delivery_ns`,
     /// `phase.merge_ns`, `phase.apply_ns`), per-tick latency
-    /// (`engine.tick_ns`), deterministic counters, and the flight journal.
+    /// (`engine.tick_ns`), deterministic counters, and the flight journal;
+    /// [`Engine::run`] passes a disabled one, so instrumentation overhead
+    /// is measurable in a single binary.
     ///
     /// Instrumentation never draws randomness or feeds back into the
     /// simulation, so instrumented and uninstrumented runs produce
     /// bit-identical platform state; and because shard metric registries
     /// merge by addition in shard-index order, the merged counters and
     /// value histograms are also identical across shard counts (only the
-    /// `*_ns` wall-time histograms vary run to run).
-    pub fn run_instrumented(
-        &self,
-        platform: &mut Platform,
-        sites: &SiteRegistry,
-        users: &[UserId],
-        extension_users: &BTreeSet<UserId>,
-    ) -> (EngineOutcome, Telemetry) {
-        let mut telemetry = Telemetry::new();
-        let outcome =
-            self.run_with_telemetry(platform, sites, users, extension_users, &mut telemetry);
-        (outcome, telemetry)
-    }
-
-    /// The fault-free engine core: runs the simulation, recording into the
-    /// caller's `telemetry` handle (which may be disabled — [`Engine::run`]
-    /// passes a disabled one, making instrumentation overhead measurable
-    /// in a single binary).
+    /// `*_ns` wall-time histograms vary run to run). The `faults.*`,
+    /// `checkpoint.*` and other catalog counters are registered at zero
+    /// even in a fault-free run.
     pub fn run_with_telemetry(
         &self,
         platform: &mut Platform,
@@ -384,30 +354,6 @@ impl Engine {
             users,
             extension_users,
             &mut telemetry,
-            options,
-            None,
-        )
-    }
-
-    /// [`Engine::run_resilient`] recording into `telemetry` (adds the
-    /// `faults.injected` / `faults.recovered` / `faults.unrecoverable` /
-    /// `checkpoint.bytes` counters, all present — at zero — even in a
-    /// fault-free run).
-    pub fn run_resilient_with_telemetry(
-        &self,
-        platform: &mut Platform,
-        sites: &SiteRegistry,
-        users: &[UserId],
-        extension_users: &BTreeSet<UserId>,
-        options: &ResilienceOptions,
-        telemetry: &mut Telemetry,
-    ) -> adsim_types::Result<ResilientOutcome> {
-        self.run_core(
-            platform,
-            sites,
-            users,
-            extension_users,
-            telemetry,
             options,
             None,
         )
@@ -528,6 +474,14 @@ impl Engine {
                     self.config.shards
                 )));
             }
+            // The resumed report is the checkpoint's, so its population
+            // counters must agree with the echo checked above.
+            if (cp.report.users, cp.report.shards) != (echo.users, echo.shards) {
+                return Err(Error::invalid(format!(
+                    "checkpoint report counts {} users on {} shards, config echo {:?}",
+                    cp.report.users, cp.report.shards, echo
+                )));
+            }
         }
         let plan = ShardPlan::partition(users, self.config.shards);
         let site_ids = sites.ids();
@@ -584,14 +538,13 @@ impl Engine {
         let mut exhausted: BTreeSet<CampaignId> = BTreeSet::new();
 
         let mut fault_report = FaultReport::default();
-        let mut checkpoints: Vec<EngineCheckpoint> = Vec::new();
         let mut frames: Vec<CheckpointFrame> = Vec::new();
-        // Delta-checkpoint bookkeeping: the tracker maintains last-value
-        // maps, journal high-water marks, and the rolling state digest.
-        // A resumed chain always restarts at a full base frame (frame 0).
-        let delta_mode = options.checkpoint_every_ticks > 0 && options.delta_base_every > 0;
-        let mut tracker = delta_mode.then(|| DeltaTracker::new(self.config.shards));
-        let mut frame_count = 0u64;
+        // Delta bookkeeping exists only when a delta can follow a base:
+        // the tracker maintains last-value maps, journal high-water marks,
+        // and the rolling state digest. A resumed chain always restarts at
+        // a full base frame (frame 0).
+        let mut tracker = (options.checkpoint_every_ticks > 0 && options.delta_base_every > 1)
+            .then(|| DeltaTracker::new(self.config.shards));
         // The receipt ledger is owned by the fold loop (the single
         // writer), so chains grow in canonical merge order regardless of
         // shard count. Emission is commitment-only: the platform's
@@ -647,11 +600,7 @@ impl Engine {
             for (shard, frozen) in shards.iter_mut().zip(&cp.shards) {
                 shard.restore_cursors(frozen)?;
             }
-            report.ticks = cp.report.ticks;
-            report.page_views = cp.report.page_views;
-            report.pixel_fires = cp.report.pixel_fires;
-            report.opportunities = cp.report.opportunities;
-            report.impressions = cp.report.impressions;
+            report = cp.report;
             exhausted = cp.exhausted.iter().copied().collect();
             fault_report = cp.faults.clone();
             tick_start = cp.next_tick_start;
@@ -868,7 +817,7 @@ impl Engine {
                 }
             });
 
-            // Delta mode derives each shard's frequency-cap dirty keys
+            // The tracker derives each shard's frequency-cap dirty keys
             // from its merged impression events: the shard bumped exactly
             // the `(ad, user)` slots its surviving (post-dedup) batch
             // delivered, so the delivery hot path carries no bookkeeping.
@@ -885,14 +834,14 @@ impl Engine {
             // Frame-tick shard data is collected *before* the overlap
             // scope below hands the shard states to the prefetch workers:
             // cursors, dirty frequency values, and extension-log suffixes
-            // all live on the shards.
+            // all live on the shards. Without a tracker every frame is a
+            // base.
             let take_frame = options.checkpoint_every_ticks > 0
                 && (report.ticks + 1).is_multiple_of(options.checkpoint_every_ticks);
-            let mut full_cursors: Option<Vec<ShardCheckpoint>> = None;
-            let mut delta_sources: Option<Vec<ShardDeltaSource>> = None;
-            if take_frame {
-                if delta_mode && !frame_count.is_multiple_of(options.delta_base_every) {
-                    let tracker = tracker.as_mut().expect("delta mode has a tracker");
+            let shard_cut = take_frame.then(|| match tracker.as_mut() {
+                Some(tracker)
+                    if !(frames.len() as u64).is_multiple_of(options.delta_base_every) =>
+                {
                     let mut sources = Vec::with_capacity(shards.len());
                     for (s, shard) in shards.iter_mut().enumerate() {
                         let cursors = shard.take_dirty_cursors();
@@ -916,9 +865,10 @@ impl Engine {
                             ext,
                         });
                     }
-                    delta_sources = Some(sources);
-                } else {
-                    if delta_mode {
+                    ShardCut::Delta(sources)
+                }
+                tracker => {
+                    if tracker.is_some() {
                         // A base frame captures everything; reset the
                         // accumulated dirty flags so the next delta starts
                         // from this cut.
@@ -926,9 +876,9 @@ impl Engine {
                             let _ = shard.take_dirty_cursors();
                         }
                     }
-                    full_cursors = Some(shards.iter().map(ShardState::export_cursors).collect());
+                    ShardCut::Base(shards.iter().map(ShardState::export_cursors).collect())
                 }
-            }
+            });
 
             // The pipelined overlap: shard workers prefetch tick t+1's
             // browsing sessions while this thread merges, folds, and
@@ -1008,84 +958,57 @@ impl Engine {
 
                 // Tick-boundary checkpoint frame: everything is now folded
                 // and frozen, so the capture is a consistent cut of the run.
-                let counters = ReportCounters {
-                    users: report.users,
-                    shards: report.shards,
-                    ticks: report.ticks,
-                    page_views: report.page_views,
-                    pixel_fires: report.pixel_fires,
-                    opportunities: report.opportunities,
-                    impressions: report.impressions,
-                };
-                let committed_heads = match (take_frame, ledger.as_ref()) {
-                    (true, Some(l)) => l.heads(),
-                    _ => Vec::new(),
-                };
-                if let Some(shard_cursors) = full_cursors.take() {
-                    let cp = EngineCheckpoint {
-                        config: echo.clone(),
-                        next_tick_start: tick_end,
-                        report: counters,
-                        exhausted: exhausted.iter().copied().collect(),
-                        faults: fault_report.clone(),
-                        platform: platform.export_state(),
-                        shards: shard_cursors,
-                        ledger: committed_heads.clone(),
-                    };
-                    if telemetry.is_enabled() {
-                        telemetry.count("checkpoint.bytes", cp.to_bytes().len() as u64);
-                    }
-                    telemetry.count("ledger.heads_committed", committed_heads.len() as u64);
-                    if let Some(tracker) = tracker.as_mut() {
-                        tracker.rebase(&cp, platform);
-                        frames.push(CheckpointFrame::Full(cp));
-                    } else {
-                        checkpoints.push(cp);
-                    }
-                } else if let Some(sources) = delta_sources.take() {
-                    telemetry.count("ledger.heads_committed", committed_heads.len() as u64);
+                if let Some(cut) = shard_cut {
                     let head = DeltaHead {
                         config: echo.clone(),
                         next_tick_start: tick_end,
-                        report: counters,
+                        report,
                         exhausted: exhausted.iter().copied().collect(),
                         faults: fault_report.clone(),
-                        ledger: committed_heads,
+                        ledger: ledger
+                            .as_ref()
+                            .map(ReceiptLedger::heads)
+                            .unwrap_or_default(),
                     };
-                    let delta = tracker
-                        .as_mut()
-                        .expect("delta sources only exist in delta mode")
-                        .take_delta(head, platform, sources);
+                    telemetry.count("ledger.heads_committed", head.ledger.len() as u64);
+                    let frame = match cut {
+                        ShardCut::Base(shards) => {
+                            let cp = EngineCheckpoint {
+                                config: head.config,
+                                next_tick_start: head.next_tick_start,
+                                report: head.report,
+                                exhausted: head.exhausted,
+                                faults: head.faults,
+                                platform: platform.export_state(),
+                                shards,
+                                ledger: head.ledger,
+                            };
+                            if let Some(tracker) = tracker.as_mut() {
+                                tracker.rebase(&cp, platform);
+                            }
+                            CheckpointFrame::Full(cp)
+                        }
+                        ShardCut::Delta(sources) => CheckpointFrame::Delta(
+                            tracker
+                                .as_mut()
+                                .expect("a delta cut implies a tracker")
+                                .take_delta(head, platform, sources),
+                        ),
+                    };
                     // Only a recording run pays for the counts (the byte
                     // count is a full encode); the counters stay
                     // registered at zero.
                     if telemetry.is_enabled() {
-                        let dirty_slots = delta.billing_accounts.len()
-                            + delta.billing_campaigns.len()
-                            + delta.billing_ads.len()
-                            + delta.billing_links.len()
-                            + delta.freq.len()
-                            + delta
-                                .audience_adds
-                                .iter()
-                                .map(|(_, m)| m.len())
-                                .sum::<usize>()
-                            + delta.facets.len()
-                            + delta
-                                .shards
-                                .iter()
-                                .map(|s| s.users.len() + s.freq.len() + s.ext.len())
-                                .sum::<usize>();
-                        telemetry.count("checkpoint.dirty_slots", dirty_slots as u64);
-                    }
-                    let frame = CheckpointFrame::Delta(delta);
-                    if telemetry.is_enabled() {
-                        telemetry.count("checkpoint.delta_bytes", frame.to_bytes().len() as u64);
+                        let bytes = frame.to_bytes().len() as u64;
+                        match &frame {
+                            CheckpointFrame::Full(_) => telemetry.count("checkpoint.bytes", bytes),
+                            CheckpointFrame::Delta(delta) => {
+                                telemetry.count("checkpoint.delta_bytes", bytes);
+                                telemetry.count("checkpoint.dirty_slots", dirty_slots(delta));
+                            }
+                        }
                     }
                     frames.push(frame);
-                }
-                if take_frame {
-                    frame_count += 1;
                 }
                 Ok(())
             })
@@ -1115,8 +1038,34 @@ impl Engine {
                 ledger,
             },
             faults: fault_report,
-            checkpoints,
             frames,
         })
     }
+}
+
+/// The shard half of a checkpoint frame, cut before the tick's overlap
+/// scope lends the shards to the prefetch workers.
+enum ShardCut {
+    /// Every shard's full cursors, for a base frame.
+    Base(Vec<ShardCheckpoint>),
+    /// What each shard changed since the previous frame.
+    Delta(Vec<ShardDeltaSource>),
+}
+
+/// Slots a delta frame rewrites (the `checkpoint.dirty_slots` counter).
+fn dirty_slots(delta: &DeltaFrame) -> u64 {
+    let audience: usize = delta.audience_adds.iter().map(|(_, m)| m.len()).sum();
+    let shards: usize = delta
+        .shards
+        .iter()
+        .map(|s| s.users.len() + s.freq.len() + s.ext.len())
+        .sum();
+    (delta.billing_accounts.len()
+        + delta.billing_campaigns.len()
+        + delta.billing_ads.len()
+        + delta.billing_links.len()
+        + delta.freq.len()
+        + audience
+        + delta.facets.len()
+        + shards) as u64
 }

@@ -212,9 +212,7 @@ mod tests {
             assert_eq!(batch.page_views, page_views);
             assert_eq!(batch.stats.opportunities, 2 * page_views);
             assert!(active > 0 && page_views > active, "views repeat per user");
-            if cfg!(feature = "telemetry") {
-                assert_eq!(batch.telemetry.counter("targeting.match_sets"), active);
-            }
+            assert_eq!(batch.telemetry.counter("targeting.match_sets"), active);
         }
         // A user active before and after noon is matched once per tick.
         assert!(active_in_both > users.len() as u64);
@@ -296,9 +294,9 @@ mod tests {
 
     #[test]
     fn instrumentation_does_not_perturb_the_simulation() {
-        // The same scenario through run() and run_instrumented() must
-        // mutate the platform identically: telemetry observes, it does
-        // not perturb (no RNG draws, no state feedback).
+        // The same scenario through run() and run_with_telemetry() on an
+        // enabled handle must mutate the platform identically: telemetry
+        // observes, it does not perturb (no RNG draws, no state feedback).
         let (mut p_plain, sites, users, _camp) = scenario(25);
         let (mut p_inst, _, _, _) = scenario(25);
         let config = EngineConfig {
@@ -312,31 +310,33 @@ mod tests {
         };
         let extension_users: BTreeSet<UserId> = users.iter().copied().collect();
         let plain = Engine::new(config.clone()).run(&mut p_plain, &sites, &users, &extension_users);
-        let (inst, telemetry) =
-            Engine::new(config).run_instrumented(&mut p_inst, &sites, &users, &extension_users);
+        let mut telemetry = Telemetry::new();
+        let inst = Engine::new(config).run_with_telemetry(
+            &mut p_inst,
+            &sites,
+            &users,
+            &extension_users,
+            &mut telemetry,
+        );
         assert_eq!(plain.report, inst.report);
         assert_eq!(p_plain.stats, p_inst.stats);
         assert_eq!(p_plain.log.all(), p_inst.log.all());
         for (u, log) in &plain.extensions {
             assert_eq!(log.observations(), inst.extensions[u].observations());
         }
-        // The instrumented run actually recorded (when compiled in).
-        if cfg!(feature = "telemetry") {
-            assert_eq!(
-                telemetry.metrics().counter("engine.impressions"),
-                inst.report.impressions
-            );
-            assert_eq!(telemetry.metrics().counter("engine.ticks"), 3);
-            assert_eq!(
-                telemetry.metrics().counter("auction.won"),
-                inst.report.impressions
-            );
-            assert!(telemetry.metrics().histogram("engine.tick_ns").is_some());
-            assert!(telemetry.metrics().histogram("phase.auction_ns").is_some());
-            assert!(!telemetry.flight().is_empty());
-        } else {
-            assert!(telemetry.metrics().is_empty());
-        }
+        // The instrumented run actually recorded.
+        assert_eq!(
+            telemetry.metrics().counter("engine.impressions"),
+            inst.report.impressions
+        );
+        assert_eq!(telemetry.metrics().counter("engine.ticks"), 3);
+        assert_eq!(
+            telemetry.metrics().counter("auction.won"),
+            inst.report.impressions
+        );
+        assert!(telemetry.metrics().histogram("engine.tick_ns").is_some());
+        assert!(telemetry.metrics().histogram("phase.auction_ns").is_some());
+        assert!(!telemetry.flight().is_empty());
     }
 
     #[test]

@@ -372,9 +372,7 @@ impl ShardState {
         probe: TickProbe,
         crash: Option<CrashPoint>,
     ) -> Result<ShardBatch, CrashSignal> {
-        // `cfg!` first so the whole recording path const-folds away when
-        // the engine is built without its `telemetry` feature.
-        let record = cfg!(feature = "telemetry") && probe.record;
+        let record = probe.record;
         // Tracing rides on the recording path: ids and sampling are pure
         // functions of user-owned state (no RNG draws, no platform
         // mutation), so traced and untraced runs simulate identically.

@@ -81,9 +81,10 @@ pub struct ConfigEcho {
     pub views_bits: u64,
 }
 
-/// Run counters at the checkpoint instant (mirrors the engine's report;
-/// kept as plain numbers so this crate stays below the engine in the
-/// dependency graph).
+/// Run counters. Defined here, below the engine in the dependency graph,
+/// so a checkpoint carries the engine's report whole: the engine names
+/// this struct `EngineReport`, a frame copies it at the checkpoint
+/// instant, and a resume restores it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReportCounters {
     /// Users simulated.

@@ -45,9 +45,8 @@ pub struct ServingConfig {
     pub slo: SloTarget,
     /// Causal-trace sampling policy. Only effective when the run records
     /// into a live [`treads_telemetry::Telemetry`] handle — with telemetry
-    /// disabled (or the `record` feature off) tracing compiles out and
-    /// this field is ignored. Like every telemetry knob, it can never
-    /// change a simulation outcome.
+    /// disabled no trace is built and this field is ignored. Like every
+    /// telemetry knob, it can never change a simulation outcome.
     pub trace: TraceConfig,
     /// Emit a signed delivery receipt for every folded impression (the
     /// serving twin of [`treads_engine::EngineConfig::ledger`]). Receipts

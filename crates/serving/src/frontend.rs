@@ -784,9 +784,7 @@ mod tests {
             )
         };
         let (_, evals, sets) = counts(FaultPlan::new());
-        if cfg!(feature = "telemetry") {
-            assert!(evals > 0 && sets > 0, "every slot runs a compiled program");
-        }
+        assert!(evals > 0 && sets > 0, "every slot runs a compiled program");
         // Shard 0's first micro-batch dies twice, then succeeds.
         let crashed = counts(FaultPlan::new().crash_shard(0, 0, 2));
         assert_eq!(crashed, (1, evals, sets));

@@ -16,10 +16,9 @@
 //!   frequency-cap rejection, budget exhaustion, Tread observed) for
 //!   post-mortem dumps.
 //!
-//! The [`Telemetry`] handle bundles all three behind a runtime `enabled`
-//! switch and a compile-time `record` feature: with the feature off every
-//! recording call is an inlined no-op, so instrumentation points cost
-//! nothing in compiled-out builds. Telemetry never draws randomness and
+//! The [`Telemetry`] handle bundles all three behind one runtime
+//! `enabled` switch: on a disabled handle ([`Telemetry::disabled`]) every
+//! recording call returns at once. Telemetry never draws randomness and
 //! never feeds back into simulation state — it observes, it does not
 //! perturb.
 //!
@@ -91,9 +90,8 @@ impl ExemplarStore {
 /// The bundled telemetry handle: a metrics [`Registry`], a
 /// [`FlightRecorder`], and an on/off switch.
 ///
-/// All recording methods are no-ops when the handle is disabled or the
-/// `record` feature is compiled out; read methods always work (and simply
-/// see empty state).
+/// All recording methods are no-ops when the handle is disabled; read
+/// methods always work (and simply see empty state).
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     enabled: bool,
@@ -135,9 +133,9 @@ impl Telemetry {
         }
     }
 
-    /// True if recording is compiled in *and* this handle is switched on.
+    /// True if this handle is switched on.
     pub fn is_enabled(&self) -> bool {
-        cfg!(feature = "record") && self.enabled
+        self.enabled
     }
 
     /// The flight recorder's ring capacity.
@@ -221,8 +219,8 @@ impl Telemetry {
     }
 
     /// The active trace config. [`TraceConfig::disabled`] whenever this
-    /// handle is off or recording is compiled out, so callers can gate
-    /// trace construction on `trace_config().enabled` alone.
+    /// handle is off, so callers can gate trace construction on
+    /// `trace_config().enabled` alone.
     pub fn trace_config(&self) -> TraceConfig {
         if self.is_enabled() {
             self.traces.config()
@@ -319,7 +317,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn enabled_handle_records_everything() {
         let mut t = Telemetry::new();
@@ -369,7 +366,6 @@ mod tests {
         assert!(t.exemplars("serving.request_latency_ns").is_empty());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn merge_folds_metrics_and_flight() {
         let mut a = Telemetry::new();
@@ -389,7 +385,6 @@ mod tests {
         assert_eq!(c.metrics().counter("engine.impressions"), 2);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn offered_traces_maintain_counters_and_exemplars() {
         let mut t = Telemetry::new();
@@ -415,7 +410,6 @@ mod tests {
         assert!(t.traces().is_empty());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn take_flight_events_drains_in_order() {
         let mut t = Telemetry::new();

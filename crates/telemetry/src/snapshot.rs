@@ -257,7 +257,6 @@ mod tests {
         t
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn json_contains_every_section() {
         let json = to_json(&sample());
@@ -283,7 +282,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn prometheus_buckets_are_cumulative_and_named() {
         let prom = to_prometheus(&sample());
@@ -296,7 +294,6 @@ mod tests {
         assert!(prom.contains("treads_auction_eligible_bids_bucket{le=\"+Inf\"} 1"));
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn exemplars_render_in_json_and_prometheus() {
         use crate::TraceId;

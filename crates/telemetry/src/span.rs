@@ -7,9 +7,8 @@
 //! body (which would fight the borrow checker in hot loops that also
 //! record counters).
 //!
-//! When the `record` feature is off, or the owning telemetry handle is
-//! disabled, a timer is `None` inside and never touches the clock — the
-//! whole span machinery folds away to nothing.
+//! When the owning telemetry handle is disabled, a timer is `None` inside
+//! and never touches the clock.
 
 use std::time::Instant;
 
@@ -18,17 +17,17 @@ use std::time::Instant;
 pub struct SpanTimer(Option<Instant>);
 
 impl SpanTimer {
-    /// Starts a stopwatch (inert when recording is compiled out).
+    /// Starts a stopwatch.
     pub fn start() -> Self {
         Self::start_if(true)
     }
 
-    /// Starts a stopwatch only if `enabled` (and recording is compiled
-    /// in); otherwise returns an inert timer that reads 0. Shard threads
-    /// use this form — they carry the enabled flag as a plain bool instead
-    /// of a borrow of the engine's telemetry handle.
+    /// Starts a stopwatch only if `enabled`; otherwise returns an inert
+    /// timer that reads 0. Shard threads use this form — they carry the
+    /// enabled flag as a plain bool instead of a borrow of the engine's
+    /// telemetry handle.
     pub fn start_if(enabled: bool) -> Self {
-        if cfg!(feature = "record") && enabled {
+        if enabled {
             SpanTimer(Some(Instant::now()))
         } else {
             SpanTimer(None)
@@ -58,7 +57,7 @@ impl SpanTimer {
 ///     (0..100).sum::<u64>()
 /// });
 /// assert_eq!(merged, 4950);
-/// // The histogram exists whenever recording is compiled in and enabled.
+/// // The histogram exists whenever the handle is enabled.
 /// assert_eq!(
 ///     telemetry.metrics().histogram("phase.merge_ns").is_some(),
 ///     telemetry.is_enabled()
@@ -85,7 +84,6 @@ mod tests {
         assert_eq!(t.elapsed_ns(), 0);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn running_timers_advance() {
         let t = SpanTimer::start();

@@ -16,9 +16,9 @@
 //!   and SLO-breach-window requests are *always* retained
 //!   ([`RequestTrace::always`]). Sampling consumes no randomness, so a
 //!   traced run is byte-identical to an untraced one.
-//! * **Compile-out.** All recording funnels through
-//!   [`crate::Telemetry::offer_trace`], which is gated on the `record`
-//!   feature exactly like metrics and the flight recorder.
+//! * **One switch.** All recording funnels through
+//!   [`crate::Telemetry::offer_trace`], which a disabled handle turns
+//!   into a no-op exactly like metrics and the flight recorder.
 //!
 //! Exporters: [`traces_to_json`] (a machine-readable dump) and
 //! [`traces_to_chrome`] (Chrome trace-event JSON, loadable in Perfetto /

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use treads_repro::adsim_types::UserId;
 use treads_repro::engine::{Engine, EngineConfig, FaultPlan, ResilienceOptions};
-use treads_repro::resilience::{receipts_from_impressions, LEDGER_CHAINS};
+use treads_repro::resilience::{receipts_from_impressions, CheckpointFrame, LEDGER_CHAINS};
 use treads_repro::treads::encoding::Encoding;
 use treads_repro::treads::planner::CampaignPlan;
 use treads_repro::websim::{ReceiptClaim, SessionConfig, SiteRegistry};
@@ -86,10 +86,9 @@ fn main() {
 
     // 2. Checkpoint replay: recompute the chains from the checkpoint's
     //    own impression log and diff against the heads it committed.
-    let cp = resilient
-        .checkpoints
-        .last()
-        .expect("checkpoints were taken");
+    let Some(CheckpointFrame::Full(cp)) = resilient.frames.last() else {
+        panic!("an all-base cadence took checkpoints");
+    };
     let replayed =
         receipts_from_impressions(cp.config.seed, cp.config.tick_ms, &cp.platform.impressions);
     assert_eq!(replayed.heads(), cp.ledger, "checkpoint rewrote history");

@@ -57,8 +57,8 @@ ENGINE_COUNTERS = [
     "faults.unrecoverable",
     "checkpoint.bytes",
     # Delta checkpointing (TRCK v3): encoded delta-frame bytes and the
-    # number of dirty slots each frame carried. Zero-valued whenever the
-    # run checkpoints with full snapshots only (delta_base_every = 0), so
+    # number of dirty slots each frame carried. Zero-valued whenever every
+    # checkpoint frame is a full base (delta_base_every of 0 or 1), so
     # their absence means the engine predates incremental persistence.
     "checkpoint.delta_bytes",
     "checkpoint.dirty_slots",

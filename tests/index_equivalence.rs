@@ -23,6 +23,7 @@ use treads_repro::adplatform::index::SelectionMode;
 use treads_repro::adplatform::reporting::{AdReport, Impression};
 use treads_repro::adplatform::targeting::{TargetingExpr, TargetingSpec};
 use treads_repro::adsim_types::{AccountId, AttributeId, Money, UserId};
+use treads_repro::engine::resilience::CheckpointFrame;
 use treads_repro::engine::{Engine, EngineCheckpoint, EngineConfig, ResilienceOptions};
 use treads_repro::treads::encoding::Encoding;
 use treads_repro::treads::planner::CampaignPlan;
@@ -246,11 +247,7 @@ fn resilient_run(
         ),
     }
     .expect("supervised run completes");
-    let checkpoints = run
-        .checkpoints
-        .iter()
-        .map(EngineCheckpoint::to_bytes)
-        .collect();
+    let checkpoints = run.frames.iter().map(CheckpointFrame::to_bytes).collect();
     (
         outputs(&h, &run.outcome.extensions, run.outcome.report.impressions),
         checkpoints,

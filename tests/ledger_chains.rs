@@ -27,7 +27,9 @@ use treads_repro::adsim_types::{Money, UserId};
 use treads_repro::engine::{
     Engine, EngineCheckpoint, EngineConfig, FaultPlan, ResilienceOptions, DAY_MS,
 };
-use treads_repro::resilience::{receipts_from_impressions, ReceiptLedger, LEDGER_CHAINS};
+use treads_repro::resilience::{
+    receipts_from_impressions, CheckpointFrame, ReceiptLedger, LEDGER_CHAINS,
+};
 use treads_repro::serving::{OpportunityRequest, ServingConfig, ServingEngine, Ticket};
 use treads_repro::treads::encoding::Encoding;
 use treads_repro::treads::planner::CampaignPlan;
@@ -270,8 +272,12 @@ fn resume_refuses_rewritten_ledger_heads() {
         )
         .expect("supervised run completes");
     let mut cp = resilient
-        .checkpoints
+        .frames
         .into_iter()
+        .filter_map(|frame| match frame {
+            CheckpointFrame::Full(cp) => Some(cp),
+            CheckpointFrame::Delta(_) => None,
+        })
         .find(|cp| cp.ledger.iter().any(|h| h.count > 0))
         .expect("some checkpoint has receipts");
 

@@ -51,8 +51,7 @@ struct RunOutput {
     report: EngineReport,
     faults: FaultReport,
     checkpoint_bytes: Vec<Vec<u8>>,
-    /// TRCK v3 frame chain, populated only in delta mode
-    /// (`delta_base_every > 0`).
+    /// The TRCK frame chain `checkpoint_bytes` encodes.
     frames: Vec<CheckpointFrame>,
 }
 
@@ -168,9 +167,9 @@ fn run_with_eval(
         report: resilient.outcome.report,
         faults: resilient.faults,
         checkpoint_bytes: resilient
-            .checkpoints
+            .frames
             .iter()
-            .map(EngineCheckpoint::to_bytes)
+            .map(CheckpointFrame::to_bytes)
             .collect(),
         frames: resilient.frames,
     }
@@ -628,6 +627,42 @@ fn delta_resume_from_base_plus_two_deltas_is_byte_identical() {
             final_full.to_bytes(),
             "final folded state is byte-identical ({shards} shards)"
         );
+    }
+}
+
+#[test]
+fn all_base_cadences_emit_identical_full_frames() {
+    // `delta_base_every` 0 and 1 both make every frame a full base: an
+    // every-tick cadence yields one frame per day under either, the two
+    // chains are byte-identical, and each frame is the checkpoint its
+    // chain prefix folds to.
+    for shards in [1usize, 2, 8] {
+        let [zero, one] = [0, 1].map(|delta_base_every| {
+            let options = ResilienceOptions {
+                checkpoint_every_ticks: 1,
+                delta_base_every,
+                ..ResilienceOptions::default()
+            };
+            run(shards, &options, Resume::Cold)
+        });
+        assert_same_simulation(&zero, &one, &format!("base every 0 vs 1, {shards} shards"));
+        for out in [&zero, &one] {
+            assert_eq!(out.frames.len() as u64, DAYS, "{shards} shards");
+            assert!(
+                out.frames
+                    .iter()
+                    .all(|f| matches!(f, CheckpointFrame::Full(_))),
+                "every frame is a base ({shards} shards)"
+            );
+        }
+        assert_eq!(
+            zero.checkpoint_bytes, one.checkpoint_bytes,
+            "frames are byte-identical ({shards} shards)"
+        );
+        for (i, bytes) in zero.checkpoint_bytes.iter().enumerate() {
+            let folded = fold_frames(&zero.frames[..=i]).expect("frame chain folds");
+            assert_eq!(&folded.to_bytes(), bytes, "frame {i} ({shards} shards)");
+        }
     }
 }
 

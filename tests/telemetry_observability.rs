@@ -54,8 +54,14 @@ fn run_instrumented(shards: usize) -> (RunOutputs, Telemetry) {
         ..EngineConfig::default()
     });
     let extension_users: BTreeSet<UserId> = s.opted_in.iter().copied().collect();
-    let (outcome, telemetry) =
-        engine.run_instrumented(&mut s.platform, &sites, &s.users, &extension_users);
+    let mut telemetry = Telemetry::new();
+    let outcome = engine.run_with_telemetry(
+        &mut s.platform,
+        &sites,
+        &s.users,
+        &extension_users,
+        &mut telemetry,
+    );
     let outputs = RunOutputs {
         impressions: outcome.report.impressions,
         page_views: outcome.report.page_views,
