@@ -112,11 +112,6 @@ pub enum ReachEstimate {
 pub struct AudienceStore {
     audiences: BTreeMap<AudienceId, Audience>,
     next_id: u64,
-    /// Memberships gained since the last [`AudienceStore::take_dirty`]
-    /// drain — the only audience state that moves during an engine run,
-    /// recorded at the mutation site so an incremental checkpoint can
-    /// encode just the additions.
-    dirty: BTreeSet<(AudienceId, UserId)>,
     /// Minimum matched size for creating a custom audience.
     pub min_custom_size: usize,
     /// Reach estimates below this are reported as [`ReachEstimate::BelowFloor`].
@@ -131,7 +126,6 @@ impl AudienceStore {
         Self {
             audiences: BTreeMap::new(),
             next_id: 0,
-            dirty: BTreeSet::new(),
             min_custom_size,
             reach_floor,
             reach_granularity,
@@ -256,10 +250,8 @@ impl AudienceStore {
     /// Routes a pixel fire into every audience sourced from that pixel.
     pub fn record_pixel_visit(&mut self, pixel: adsim_types::PixelId, user: UserId) {
         for aud in self.audiences.values_mut() {
-            if matches!(aud.kind, AudienceKind::PixelVisitors { pixel: p } if p == pixel)
-                && aud.members.insert(user)
-            {
-                self.dirty.insert((aud.id, user));
+            if matches!(aud.kind, AudienceKind::PixelVisitors { pixel: p } if p == pixel) {
+                aud.members.insert(user);
             }
         }
     }
@@ -267,20 +259,16 @@ impl AudienceStore {
     /// Routes a page like into every audience sourced from that page.
     pub fn record_page_like(&mut self, page: u64, user: UserId) {
         for aud in self.audiences.values_mut() {
-            if matches!(aud.kind, AudienceKind::PageEngagement { page: p } if p == page)
-                && aud.members.insert(user)
-            {
-                self.dirty.insert((aud.id, user));
+            if matches!(aud.kind, AudienceKind::PageEngagement { page: p } if p == page) {
+                aud.members.insert(user);
             }
         }
     }
 
-    /// Drains the memberships gained since the last drain (sorted by
-    /// `(audience, user)`). Incremental checkpoints call this once per
-    /// delta frame; a full export implies a drain so the next delta is
-    /// relative to it.
-    pub fn take_dirty(&mut self) -> Vec<(AudienceId, UserId)> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
+    /// Every audience, in id order (platform-internal: membership is
+    /// private to the platform).
+    pub fn iter(&self) -> impl Iterator<Item = &Audience> {
+        self.audiences.values()
     }
 
     /// Exports every audience's membership, sorted by audience id.

@@ -4,11 +4,12 @@
 //! probing a `BTreeSet<AttributeId>` and comparing `String`s per node —
 //! fine at submission time, but delivery evaluates targeting for every
 //! candidate ad of every impression opportunity, where pointer-chasing
-//! and string compares dominate the auction phase. [`CompiledSpec`] is
+//! and string compares dominate the auction phase. A compiled program is
 //! the same predicate lowered once, at ad submission, into a flat
-//! **straight-line op array**: no recursion, no strings, no allocation —
-//! and no evaluation stack, because the connectives compile to
-//! short-circuit skips over a single boolean accumulator.
+//! **straight-line op array** in the store's [`ProgramArena`]: no
+//! recursion, no strings, no allocation — and no evaluation stack,
+//! because the connectives compile to short-circuit skips over a single
+//! boolean accumulator.
 //!
 //! * attribute tests become fixed-width bitmap probes against the
 //!   profile's [`crate::profile::ProfileFacets`] bitset (one word load
@@ -52,8 +53,8 @@ use adsim_types::{AttributeId, AudienceId, Symbol, SymbolTable};
 /// every workload under both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Run the ad's [`CompiledSpec`]: bitmap probes and symbol compares
-    /// over the profile's facet sidecar.
+    /// Run the ad's compiled program ([`ProgramArena`]): bitmap probes
+    /// and symbol compares over the profile's facet sidecar.
     #[default]
     Compiled,
     /// Walk the original [`TargetingExpr`] tree (the submission-time
@@ -134,57 +135,18 @@ impl CompiledOp {
     }
 }
 
-/// A targeting spec lowered to a flat short-circuit program (see the
-/// [module docs](self)). Built once per ad at submission by
-/// `crate::campaign::CampaignStore::create_ad`; immutable afterwards,
-/// like the spec it compiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledSpec {
-    ops: Vec<CompiledOp>,
-}
-
-impl CompiledSpec {
-    /// Lowers `spec` (include ∧ ¬exclude) into a short-circuit program,
-    /// interning its state/ZIP strings into `symbols` — the **same**
-    /// table the profile store interns through, which is what makes the
-    /// symbol compares sound.
-    pub fn compile(spec: &TargetingSpec, symbols: &mut SymbolTable) -> Self {
-        let mut ops = Vec::new();
-        emit_spec(spec, symbols, &mut ops, &mut Vec::new());
-        Self { ops }
-    }
-
-    /// Number of ops in the program.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True for a zero-op program (never produced by [`Self::compile`]).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Evaluates the program against `user`'s facet sidecar. Equivalent
-    /// to `TargetingSpec::matches` on the spec this was compiled from,
-    /// for any profile maintained by the same store and any resolver.
-    /// Allocation-free: the whole evaluation is one accumulator and a
-    /// program counter.
-    pub fn matches<A: AudienceResolver>(&self, user: &UserProfile, audiences: &A) -> bool {
-        run_ops(&self.ops, user, audiences)
-    }
-}
-
 /// All of a store's compiled programs in one contiguous op array, with a
-/// dense `(offset, len)` span per program.
+/// dense `(offset, len)` span per program: the one compiled form, built
+/// by `crate::campaign::CampaignStore::create_ad` once per ad at
+/// submission and immutable afterwards, like the spec it compiles.
 ///
-/// A `Vec<CompiledSpec>` puts every program's ops in its own heap
-/// allocation: at ten thousand ads that is ten thousand scattered
-/// allocations, and the hot path pays a dependent pointer chase (spec →
-/// ops) per candidate on top of whatever the allocator's layout does to
-/// locality. The arena stores one `Vec<CompiledOp>` for everything and an
-/// 8-byte span per program, so looking up a program is one load in a
-/// dense array and its ops are adjacent to its neighbours'. Programs are
-/// append-only, matching the store's never-reused ad ids.
+/// One heap allocation per program would mean ten thousand scattered
+/// allocations at ten thousand ads, and a dependent pointer chase (spec
+/// → ops) per candidate on the hot path. The arena stores one
+/// `Vec<CompiledOp>` for everything and an 8-byte span per program, so
+/// looking up a program is one load in a dense array and its ops are
+/// adjacent to its neighbours'. Programs are append-only, matching the
+/// store's never-reused ad ids.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProgramArena {
     ops: Vec<CompiledOp>,
@@ -197,8 +159,10 @@ impl ProgramArena {
         Self::default()
     }
 
-    /// Compiles `spec` into the arena as its next program, interning
-    /// through `symbols` (the store-shared table), and returns the
+    /// Compiles `spec` (include ∧ ¬exclude) into the arena as its next
+    /// program, interning its state/ZIP strings through `symbols` — the
+    /// **same** table the profile store interns through, which is what
+    /// makes the symbol compares sound — and returns the
     /// conjunct groups of its include expression: the keys
     /// [`crate::index::TargetingIndex`] files the ad under. The groups
     /// are read off the ops this pass emits, so each string is interned
@@ -226,8 +190,11 @@ impl ProgramArena {
     }
 
     /// Evaluates program `program` against `user`'s facet sidecar, or
-    /// `None` for an id the arena has never issued. Same accumulator
-    /// machine as [`CompiledSpec::matches`].
+    /// `None` for an id the arena has never issued. Equivalent to
+    /// `TargetingSpec::matches` on the spec the program was compiled
+    /// from, for any profile maintained by the same store and any
+    /// resolver. Allocation-free: the whole evaluation is one accumulator
+    /// and a program counter.
     pub fn matches<A: AudienceResolver>(
         &self,
         program: usize,
@@ -439,6 +406,13 @@ mod tests {
         }
     }
 
+    /// `spec` compiled as program 0 of a fresh arena.
+    pub(super) fn compile(spec: &TargetingSpec, symbols: &mut SymbolTable) -> ProgramArena {
+        let mut arena = ProgramArena::new();
+        arena.push(spec, symbols);
+        arena
+    }
+
     #[test]
     fn paper_conjunction_compiles_and_matches() {
         let mut store = ProfileStore::new();
@@ -454,15 +428,15 @@ mod tests {
             ]),
             TargetingExpr::Attr(AttributeId(12)),
         );
-        let compiled = CompiledSpec::compile(&spec, store.symbols_mut());
+        let compiled = compile(&spec, store.symbols_mut());
         // 4 leaves + 3 skips, then the exclusion's skip + leaf + Not.
-        assert_eq!(compiled.len(), 10);
+        assert_eq!(compiled.ops.len(), 10);
         let resolver = SetResolver(HashSet::new());
         let user = store.get(id).expect("u");
-        assert!(compiled.matches(user, &resolver));
+        assert_eq!(compiled.matches(0, user, &resolver), Some(true));
         assert_eq!(
-            compiled.matches(user, &resolver),
-            spec.matches(user, &resolver)
+            compiled.matches(0, user, &resolver),
+            Some(spec.matches(user, &resolver))
         );
     }
 
@@ -475,11 +449,14 @@ mod tests {
             TargetingExpr::InState("Ohio".into()),
             TargetingExpr::VisitedZip("10001".into()),
         ]));
-        let compiled = CompiledSpec::compile(&spec, store.symbols_mut());
+        let compiled = compile(&spec, store.symbols_mut());
         let id = store.register(30, Gender::Male, "Ohio", "43004");
         store.record_zip_visit(id, "10001").expect("visit");
         let resolver = SetResolver(HashSet::new());
-        assert!(compiled.matches(store.get(id).expect("u"), &resolver));
+        assert_eq!(
+            compiled.matches(0, store.get(id).expect("u"), &resolver),
+            Some(true)
+        );
     }
 
     #[test]
@@ -487,17 +464,17 @@ mod tests {
         let mut store = ProfileStore::new();
         let id = store.register(50, Gender::Male, "Iowa", "50301");
         let resolver = SetResolver(HashSet::new());
-        let t = CompiledSpec::compile(
+        let t = compile(
             &TargetingSpec::including(TargetingExpr::And(vec![])),
             store.symbols_mut(),
         );
-        let f = CompiledSpec::compile(
+        let f = compile(
             &TargetingSpec::including(TargetingExpr::Or(vec![])),
             store.symbols_mut(),
         );
         let user = store.get(id).expect("u");
-        assert!(t.matches(user, &resolver));
-        assert!(!f.matches(user, &resolver));
+        assert_eq!(t.matches(0, user, &resolver), Some(true));
+        assert_eq!(f.matches(0, user, &resolver), Some(false));
     }
 
     #[test]
@@ -511,12 +488,15 @@ mod tests {
                 .map(|i| TargetingExpr::Attr(AttributeId(1000 + i)))
                 .collect(),
         );
-        let compiled = CompiledSpec::compile(&TargetingSpec::including(wide), store.symbols_mut());
-        assert_eq!(compiled.len(), 254 + 253);
+        let compiled = compile(&TargetingSpec::including(wide), store.symbols_mut());
+        assert_eq!(compiled.ops.len(), 254 + 253);
         let id = store.register(30, Gender::Male, "Ohio", "43004");
         store.grant_attribute(id, AttributeId(1000)).expect("grant");
         let resolver = SetResolver(HashSet::new());
-        assert!(compiled.matches(store.get(id).expect("u"), &resolver));
+        assert_eq!(
+            compiled.matches(0, store.get(id).expect("u"), &resolver),
+            Some(true)
+        );
     }
 
     #[test]
@@ -536,7 +516,7 @@ mod tests {
         let resolver = SetResolver(HashSet::new());
         for bits in 0u32..32 {
             let mut store = ProfileStore::new();
-            let compiled = CompiledSpec::compile(&spec, store.symbols_mut());
+            let compiled = compile(&spec, store.symbols_mut());
             let id = store.register(30, Gender::Female, "Ohio", "43004");
             for a in 0..5 {
                 if bits >> a & 1 == 1 {
@@ -547,8 +527,8 @@ mod tests {
             }
             let user = store.get(id).expect("u");
             assert_eq!(
-                compiled.matches(user, &resolver),
-                spec.matches(user, &resolver),
+                compiled.matches(0, user, &resolver),
+                Some(spec.matches(user, &resolver)),
                 "diverged at attribute bits {bits:05b}"
             );
         }
@@ -556,9 +536,9 @@ mod tests {
 
     #[test]
     fn arena_programs_agree_with_standalone_specs() {
-        // The arena shares the interpreter with CompiledSpec; what it
-        // adds is the span bookkeeping, so adjacent programs (including
-        // an exclusion's extra ops) must stay correctly delimited.
+        // Programs share one op array, so adjacent programs (including an
+        // exclusion's extra ops) must stay correctly delimited by their
+        // spans: each must agree with the tree evaluator on its own spec.
         let mut store = ProfileStore::new();
         let specs = [
             TargetingSpec::including(TargetingExpr::Attr(AttributeId(1))),
@@ -599,6 +579,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::compile;
     use super::*;
     use crate::profile::{Gender, ProfileStore};
     use adsim_types::AttributeId;
@@ -685,17 +666,17 @@ mod proptests {
             };
             // Interning order between profile and spec must not matter.
             let (id, compiled) = if compile_first {
-                let c = CompiledSpec::compile(&spec, store.symbols_mut());
+                let c = compile(&spec, store.symbols_mut());
                 (register(&mut store), c)
             } else {
                 let id = register(&mut store);
-                (id, CompiledSpec::compile(&spec, store.symbols_mut()))
+                (id, compile(&spec, store.symbols_mut()))
             };
             let resolver = MaskResolver(mask);
             let user = store.get(id).expect("user");
             prop_assert_eq!(
-                compiled.matches(user, &resolver),
-                spec.matches(user, &resolver),
+                compiled.matches(0, user, &resolver),
+                Some(spec.matches(user, &resolver)),
                 "compiled and tree evaluators diverged"
             );
         }

@@ -223,8 +223,8 @@ pub struct EligibilityBreakdown {
     /// targeting cannot match this user. Always zero under
     /// [`SelectionMode::LinearScan`].
     pub index_pruned: u32,
-    /// Targeting checks answered by a [`crate::compiled::CompiledSpec`]
-    /// program rather than the expression tree. Not a filter bucket (it
+    /// Targeting checks answered by a compiled program
+    /// ([`crate::compiled::ProgramArena`]) rather than the expression tree. Not a filter bucket (it
     /// overlaps `targeting_mismatch`/`eligible`); zero under
     /// [`EvalMode::Tree`]. Like every field here it is a census of this
     /// one opportunity: slots decided from one [`MatchSet`] each report
@@ -527,8 +527,9 @@ pub(crate) fn decide_slot<R: Rng>(
 /// [`crate::Platform::decide_slot`], so after the first few
 /// opportunities the buffers reach their high-water capacity and the
 /// steady state allocates nothing. (Compiled targeting evaluation needs
-/// no buffer at all — a [`crate::compiled::CompiledSpec`] runs on a
-/// single boolean accumulator.)
+/// no buffer at all — a compiled program
+/// ([`crate::compiled::ProgramArena`]) runs on a single boolean
+/// accumulator.)
 ///
 /// The buffers carry no data between calls — every use clears before
 /// filling — so a fresh scratch always produces identical results.

@@ -136,7 +136,7 @@ pub mod transparency;
 pub use attributes::{AttributeCatalog, AttributeDef, AttributeSource};
 pub use audience::{Audience, AudienceKind};
 pub use campaign::{Ad, AdCreative, AdStatus, Campaign};
-pub use compiled::{CompiledSpec, EvalMode, ProgramArena};
+pub use compiled::{EvalMode, ProgramArena};
 pub use error::PlatformError;
 pub use index::{SelectionMode, TargetingIndex};
 pub use platform::{Platform, PlatformConfig};

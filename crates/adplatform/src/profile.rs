@@ -55,7 +55,7 @@ pub struct PiiRecord {
 }
 
 /// The fixed-width evaluation sidecar of one user profile: what the
-/// compiled targeting evaluator ([`crate::compiled::CompiledSpec`]) probes
+/// compiled targeting evaluator ([`crate::compiled::ProgramArena`]) probes
 /// instead of the string/`BTreeSet` fields it mirrors.
 ///
 /// * attributes → a bitset indexed by raw [`AttributeId`] (one bit per
@@ -258,10 +258,6 @@ pub struct ProfileStore {
     attr_words_capacity: usize,
     /// Monotone count of incremental facet maintenance writes.
     facet_updates: u64,
-    /// Users whose facets changed since the last
-    /// [`ProfileStore::take_dirty_facets`] drain, recorded at every facet
-    /// mutation site so an incremental checkpoint can re-encode only them.
-    dirty_facets: BTreeSet<UserId>,
 }
 
 impl ProfileStore {
@@ -287,7 +283,6 @@ impl ProfileStore {
             visited_zips: Vec::new(),
         };
         self.facet_updates += 1;
-        self.dirty_facets.insert(id);
         self.users.push(UserProfile {
             id,
             age,
@@ -346,7 +341,6 @@ impl ProfileStore {
         profile.attributes.insert(attr);
         if profile.facets.grant(attr) {
             self.facet_updates += 1;
-            self.dirty_facets.insert(user);
         }
         Ok(())
     }
@@ -394,7 +388,6 @@ impl ProfileStore {
         profile.recent_zips.insert(zip.to_string());
         if profile.facets.record_visit(sym) {
             self.facet_updates += 1;
-            self.dirty_facets.insert(user);
         }
         Ok(())
     }
@@ -420,13 +413,6 @@ impl ProfileStore {
     /// `targeting.facet_updates` telemetry counter).
     pub fn facet_updates(&self) -> u64 {
         self.facet_updates
-    }
-
-    /// Drains the set of users whose facets changed since the last drain
-    /// (sorted). Incremental checkpoints call this once per delta frame;
-    /// a full export implies a drain so the next delta is relative to it.
-    pub fn take_dirty_facets(&mut self) -> Vec<UserId> {
-        std::mem::take(&mut self.dirty_facets).into_iter().collect()
     }
 
     /// Freezes the interner and every user's facets into a [`FacetsState`]
@@ -519,7 +505,8 @@ mod tests {
             assert!(u.attributes.is_empty());
             assert!(!u.facets.has_attribute(AttributeId(5)));
         }
-        assert_eq!(store.take_dirty_facets(), vec![first, last]);
+        // Only the two registrations bumped the facet-update counter.
+        assert_eq!(store.facet_updates(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use adplatform::attributes::AttributeCatalog;
 use adplatform::audience::AudienceStore;
 use adplatform::campaign::{AdCreative, CampaignStore};
-use adplatform::compiled::CompiledSpec;
+use adplatform::compiled::ProgramArena;
 use adplatform::dsl;
 use adplatform::index::CountingBuffer;
 use adplatform::profile::{Gender, ProfileStore, UserProfile};
@@ -129,7 +129,8 @@ fn bench_eval_modes(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("targeting/eval_mode");
     for (shape, spec) in [("shallow", &shallow), ("deep", &deep), ("wide_or", &wide)] {
-        let program = CompiledSpec::compile(spec, profiles.symbols_mut());
+        let mut program = ProgramArena::new();
+        program.push(spec, profiles.symbols_mut());
         for (size, user) in [("slim", slim), ("fat", fat)] {
             let profile = profiles.get(user).expect("user").clone();
             group.bench_with_input(
@@ -140,7 +141,9 @@ fn bench_eval_modes(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("compiled/{shape}"), size),
                 &profile,
-                |b, profile| b.iter(|| black_box(&program).matches(black_box(profile), &audiences)),
+                |b, profile| {
+                    b.iter(|| black_box(&program).matches(0, black_box(profile), &audiences))
+                },
             );
         }
     }

@@ -394,9 +394,11 @@ impl Engine {
     /// full base plus any number of deltas, as produced in
     /// [`ResilientOutcome::frames`]) back into a full checkpoint and
     /// resumes from it. The fold verifies the chain discipline and each
-    /// frame's state digest before anything is mutated; a chain whose
-    /// dirty bookkeeping missed a mutated slot fails here with
-    /// [`Error::InvalidInput`] instead of resuming silently wrong.
+    /// frame's state digest before anything is mutated; a frame whose
+    /// content disagrees with its digest fails here with
+    /// [`Error::InvalidInput`]. A slot the delta tracker never noted as
+    /// dirty is missing from the frame and its digest alike and is not
+    /// caught here: the fold-prefix and resume oracles catch it.
     pub fn resume_from_frames(
         &self,
         platform: &mut Platform,

@@ -12,18 +12,20 @@
 //! Format: `b"TRCK"` magic, a `u32` version, a frame-kind byte (`0` =
 //! full, `1` = delta), then one body layout for both kinds: a full
 //! checkpoint is encoded as the [`crate::delta::DeltaFrame`] that takes
-//! the empty state to it (see [`crate::delta`]). **Versioning rule:** any
-//! layout change — field added, removed, reordered, or re-typed — bumps
-//! [`CHECKPOINT_VERSION`]; the decoder rejects versions it does not know
-//! rather than guessing (see DESIGN.md "Failure model & recovery").
+//! the empty state to it (see [`crate::delta`]). No type here encodes
+//! itself: the cursor, counter and config-echo layouts are declared once
+//! in [`crate::codec`], beside every other type a frame body carries.
+//! **Versioning rule:** any layout change — field added, removed,
+//! reordered, or re-typed — bumps [`CHECKPOINT_VERSION`]; the decoder
+//! rejects versions it does not know rather than guessing (see DESIGN.md
+//! "Failure model & recovery").
 
-use adplatform::profile::ProfileFacets;
 use adplatform::PlatformState;
-use adsim_types::{AdId, CampaignId, SimTime, UserId};
+use adsim_types::{AdId, CampaignId, UserId};
 use websim::extension::ObservedAd;
 use websim::ExtensionLog;
 
-use crate::codec::{DecodeError, Reader, Writer};
+use crate::codec::DecodeError;
 use crate::delta::{encode_frame, genesis, CheckpointFrame};
 use crate::fault::FaultReport;
 use crate::ledger::LedgerHead;
@@ -198,99 +200,6 @@ impl EngineCheckpoint {
     }
 }
 
-/// Encodes one user's facets: bitset words, geo symbols, sorted
-/// visited-ZIP symbols.
-pub(crate) fn encode_profile_facets(w: &mut Writer, facets: &ProfileFacets) {
-    let words = facets.attr_words();
-    w.put_u32(words.len() as u32);
-    for word in words {
-        w.put_u64(*word);
-    }
-    w.put_u32(facets.state());
-    w.put_u32(facets.zip());
-    let visited = facets.visited_zip_symbols();
-    w.put_u32(visited.len() as u32);
-    for z in visited {
-        w.put_u32(*z);
-    }
-}
-
-/// Strict decoder counterpart of [`encode_profile_facets`]: every symbol
-/// reference must fall below `symbol_count`, and the visited-ZIP list
-/// must be strictly sorted.
-pub(crate) fn decode_profile_facets(
-    r: &mut Reader<'_>,
-    symbol_count: u32,
-) -> Result<ProfileFacets, DecodeError> {
-    let check_symbol = |sym: u32| {
-        if sym >= symbol_count {
-            Err(DecodeError::Invalid("facet symbol out of range"))
-        } else {
-            Ok(sym)
-        }
-    };
-    let w = r.get_u32()?;
-    let attr_words = (0..w)
-        .map(|_| r.get_u64())
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let state_sym = check_symbol(r.get_u32()?)?;
-    let zip_sym = check_symbol(r.get_u32()?)?;
-    let v = r.get_u32()?;
-    let visited = (0..v)
-        .map(|_| check_symbol(r.get_u32()?))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    if !visited.windows(2).all(|pair| pair[0] < pair[1]) {
-        return Err(DecodeError::Invalid("visited-ZIP symbols not sorted"));
-    }
-    Ok(ProfileFacets::from_parts(
-        attr_words, state_sym, zip_sym, visited,
-    ))
-}
-
-/// Encodes one captured extension observation.
-pub(crate) fn encode_observed(w: &mut Writer, o: &ObservedAd) {
-    w.put_u64(o.ad.raw());
-    w.put_u64(o.at.0);
-    w.put_str(&o.creative.headline);
-    w.put_str(&o.creative.body);
-    w.put_bool(o.creative.image.is_some());
-    if let Some(image) = &o.creative.image {
-        w.put_bytes(image);
-    }
-    w.put_bool(o.creative.landing_url.is_some());
-    if let Some(url) = &o.creative.landing_url {
-        w.put_str(url);
-    }
-}
-
-/// Decoder counterpart of [`encode_observed`].
-pub(crate) fn decode_observed(r: &mut Reader<'_>) -> Result<ObservedAd, DecodeError> {
-    let ad = AdId(r.get_u64()?);
-    let at = SimTime(r.get_u64()?);
-    let headline = r.get_str()?;
-    let body = r.get_str()?;
-    let image = if r.get_bool()? {
-        Some(r.get_bytes()?)
-    } else {
-        None
-    };
-    let landing_url = if r.get_bool()? {
-        Some(r.get_str()?)
-    } else {
-        None
-    };
-    Ok(ObservedAd {
-        ad,
-        at,
-        creative: adplatform::AdCreative {
-            headline,
-            body,
-            image,
-            landing_url,
-        },
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -298,10 +207,10 @@ pub(crate) mod tests {
     use adplatform::billing::LedgerState;
     use adplatform::delivery::DeliveryStats;
     use adplatform::pixel::PixelEvent;
-    use adplatform::profile::FacetsState;
+    use adplatform::profile::{FacetsState, ProfileFacets};
     use adplatform::reporting::Impression;
     use adplatform::AdCreative;
-    use adsim_types::{AccountId, AudienceId, Money, PixelId};
+    use adsim_types::{AccountId, AudienceId, Money, PixelId, SimTime};
 
     pub(crate) fn sample() -> EngineCheckpoint {
         EngineCheckpoint {

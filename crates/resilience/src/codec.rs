@@ -12,6 +12,33 @@
 //! * strings/byte-strings are `u32` length + raw bytes;
 //! * options are a `bool` presence flag + payload;
 //! * sequences are a `u32` count + elements.
+//!
+//! **One layout declaration per persisted type.** Every type a frame
+//! carries implements the crate-private `Wire` trait once, by listing its
+//! fields in wire order (the `layout!` macro) or, for the few types whose
+//! shape is not a plain field list, by hand. That one declaration yields
+//! both directions:
+//!
+//! * `put` writes the fields into a `Sink`. The frame [`Writer`] is one
+//!   sink; the state digest's slot hasher (`crate::delta`) is the other,
+//!   so the digest hashes exactly the words the frame writes, each
+//!   widened to `u64`, with byte strings folded 8 bytes at a time;
+//! * `get` reads them back through the strict [`Reader`].
+//!
+//! A new state slot is therefore laid out once, and the encoder, the
+//! decoder and the digest cannot disagree about its field order.
+
+use adplatform::delivery::DeliveryStats;
+use adplatform::pixel::PixelEvent;
+use adplatform::profile::ProfileFacets;
+use adplatform::reporting::Impression;
+use adplatform::AdCreative;
+use adsim_types::{AccountId, AdId, AudienceId, CampaignId, Money, PixelId, SimTime, UserId};
+use websim::extension::ObservedAd;
+
+use crate::checkpoint::{ConfigEcho, ReportCounters, UserCursor};
+use crate::fault::{FaultReport, LostWork};
+use crate::ledger::LedgerHead;
 
 /// A checkpoint decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,6 +211,329 @@ impl<'a> Reader<'a> {
         } else {
             Err(DecodeError::Invalid("trailing bytes"))
         }
+    }
+}
+
+/// Where a [`Wire`] layout writes its words: the frame [`Writer`], or
+/// the state digest's slot hasher.
+pub(crate) trait Sink {
+    /// A `u32` word.
+    fn u32(&mut self, v: u32);
+    /// A `u64` word.
+    fn u64(&mut self, v: u64);
+    /// An `i64` word, as its two's-complement `u64`.
+    fn i64(&mut self, v: i64) {
+        self.u64(v as u64);
+    }
+    /// An option's presence flag.
+    fn flag(&mut self, v: bool);
+    /// A sequence's element count.
+    fn count(&mut self, n: usize);
+    /// A length-prefixed byte string.
+    fn bytes(&mut self, b: &[u8]);
+}
+
+impl Sink for Writer {
+    fn u32(&mut self, v: u32) {
+        self.put_u32(v);
+    }
+    fn u64(&mut self, v: u64) {
+        self.put_u64(v);
+    }
+    fn flag(&mut self, v: bool) {
+        self.put_bool(v);
+    }
+    fn count(&mut self, n: usize) {
+        self.put_u32(u32::try_from(n).expect("checkpoint sequence over u32::MAX entries"));
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.put_bytes(b);
+    }
+}
+
+/// A persisted type's one layout declaration: `put` writes its fields in
+/// wire order into any [`Sink`], `get` reads them back in the same order
+/// through the strict [`Reader`].
+pub(crate) trait Wire: Sized {
+    /// Writes `self` into `s`.
+    fn put<S: Sink>(&self, s: &mut S);
+    /// Reads one value.
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+/// Declares a struct's layout as its fields, listed once in wire order.
+macro_rules! layout {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put<S: $crate::codec::Sink>(&self, s: &mut S) {
+                $($crate::codec::Wire::put(&self.$field, s);)+
+            }
+            fn get(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::DecodeError> {
+                Ok($ty {
+                    $($field: $crate::codec::Wire::get(r)?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use layout;
+
+/// Declares `u64` id newtypes: each is its raw id word.
+macro_rules! id_layout {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn put<S: Sink>(&self, s: &mut S) {
+                s.u64(self.0);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($ty(r.get_u64()?))
+            }
+        }
+    )+};
+}
+
+impl Wire for u32 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.u32(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.get_u32()
+    }
+}
+
+impl Wire for u64 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.u64(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.get_u64()
+    }
+}
+
+impl Wire for i64 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.i64(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.get_i64()
+    }
+}
+
+/// A `usize` travels as a `u64` word.
+impl Wire for usize {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.u64(*self as u64);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(r.get_u64()? as usize)
+    }
+}
+
+impl Wire for String {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.bytes(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.get_str()
+    }
+}
+
+/// A fixed-size array carries no count.
+impl Wire for [u64; 4] {
+    fn put<S: Sink>(&self, s: &mut S) {
+        for word in self {
+            s.u64(*word);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.flag(self.is_some());
+        if let Some(v) = self {
+            v.put(s);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(if r.get_bool()? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// Writes a sequence: its count, then each element.
+fn put_seq<T: Wire, S: Sink>(items: &[T], s: &mut S) {
+    s.count(items.len());
+    for item in items {
+        item.put(s);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put<S: Sink>(&self, s: &mut S) {
+        put_seq(self, s);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.get_u32()?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.0.put(s);
+        self.1.put(s);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.0.put(s);
+        self.1.put(s);
+        self.2.put(s);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Layouts of the types a frame body carries (the body itself,
+// `crate::delta::DeltaFrame`, declares its own)
+// ---------------------------------------------------------------------------
+
+id_layout!(AccountId, AdId, AudienceId, CampaignId, PixelId, UserId);
+
+impl Wire for SimTime {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.u64(self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(SimTime(r.get_u64()?))
+    }
+}
+
+/// Money travels in micros.
+impl Wire for Money {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.i64(self.as_micros());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Money::micros(r.get_i64()?))
+    }
+}
+
+layout!(ConfigEcho {
+    shards,
+    seed,
+    tick_ms,
+    users,
+    days,
+    views_bits,
+});
+layout!(ReportCounters {
+    users,
+    shards,
+    ticks,
+    page_views,
+    pixel_fires,
+    opportunities,
+    impressions,
+});
+layout!(FaultReport {
+    injected,
+    recovered,
+    unrecoverable,
+    lost,
+});
+layout!(LostWork {
+    tick,
+    shard,
+    page_views,
+    pixel_fires,
+    opportunities,
+});
+layout!(LedgerHead { chain, head, count });
+layout!(UserCursor {
+    user,
+    rng,
+    cursor,
+    seq,
+    fseq,
+});
+layout!(DeliveryStats {
+    opportunities,
+    won,
+    lost_to_background,
+    unfilled,
+});
+layout!(Impression {
+    ad,
+    campaign,
+    account,
+    user,
+    at,
+    price,
+    spec_digest,
+});
+layout!(PixelEvent { pixel, user, at });
+layout!(ObservedAd { ad, at, creative });
+
+/// The image is one byte string, not a sequence of byte words.
+impl Wire for AdCreative {
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.headline.put(s);
+        self.body.put(s);
+        s.flag(self.image.is_some());
+        if let Some(image) = &self.image {
+            s.bytes(image);
+        }
+        self.landing_url.put(s);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(AdCreative {
+            headline: String::get(r)?,
+            body: String::get(r)?,
+            image: if r.get_bool()? {
+                Some(r.get_bytes()?)
+            } else {
+                None
+            },
+            landing_url: Option::get(r)?,
+        })
+    }
+}
+
+/// Bitset words, home state and ZIP symbols, then the visited-ZIP
+/// symbols, which must be strictly sorted. Whether the symbols fall inside
+/// the table is checked once the whole frame is read
+/// (`crate::delta::DeltaFrame`), since the bound is the frame's own table.
+impl Wire for ProfileFacets {
+    fn put<S: Sink>(&self, s: &mut S) {
+        put_seq(self.attr_words(), s);
+        s.u32(self.state());
+        s.u32(self.zip());
+        put_seq(self.visited_zip_symbols(), s);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let attr_words = Vec::get(r)?;
+        let state = r.get_u32()?;
+        let zip = r.get_u32()?;
+        let visited: Vec<u32> = Vec::get(r)?;
+        if !visited.windows(2).all(|pair| pair[0] < pair[1]) {
+            return Err(DecodeError::Invalid("visited-ZIP symbols not sorted"));
+        }
+        Ok(ProfileFacets::from_parts(attr_words, state, zip, visited))
     }
 }
 

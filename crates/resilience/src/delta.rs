@@ -1,5 +1,5 @@
 //! Incremental (delta) checkpoint frames — introduced in TRCK v3 — and,
-//! since v5, the one TRCK body codec for both frame kinds.
+//! since v5, the one TRCK body for both frame kinds.
 //!
 //! A [`DeltaFrame`] encodes only the slots that changed since the
 //! previous frame:
@@ -10,21 +10,35 @@
 //!   not match the state it is applied to;
 //! * **keyed maps** (billing spend, frequency caps, audience memberships,
 //!   per-user facets, per-user shard cursors) are carried as upserts of
-//!   the dirty keys, strictly increasing by key, discovered either at the
-//!   mutation site ([`adplatform`]'s audience and profile stores record
-//!   dirty keys as they mutate) or *derived* from the impression-log
-//!   suffix (every impression names the exact account/campaign/ad/
-//!   frequency slots it touched, so the hot path pays nothing);
+//!   the dirty keys, strictly increasing by key. The [`DeltaTracker`]
+//!   works the keys out at frame time: billing and frequency keys from
+//!   the impression-log suffix (every impression names the exact
+//!   account/campaign/ad/frequency slots it touched), audience and facet
+//!   keys by diffing the [`adplatform`] stores against the values it
+//!   kept at the last frame, and cursor keys from the shards' dirty
+//!   flags, so the hot path pays nothing;
 //! * **scalars** (clock, run counters, fault accounting, billing totals,
 //!   receipt-ledger heads) are tiny and carried whole.
+//!
+//! **One layout per type.** The body's field order is the one
+//! `layout!` declaration on [`DeltaFrame`]; every type inside it declares
+//! its own layout once in [`crate::codec`]. The same declaration writes
+//! the frame, reads it back through the strict reader, and feeds the
+//! state digest: a slot's digest term hashes its section tag, its key
+//! words, then its value's layout.
 //!
 //! Every frame ends with a **state digest**: a set-homomorphic XOR-fold
 //! over per-slot hashes of the *entire* post-frame state, maintained
 //! incrementally by the [`DeltaTracker`] as slots change. Applying a
-//! frame recomputes the digest from the resulting state and rejects it on
-//! any mismatch — a dirty set that failed to mention a mutated slot fails
-//! resume loudly ([`DecodeError::Invalid`]`("state digest mismatch")`)
-//! instead of resuming silently wrong.
+//! frame recomputes the digest from the resulting state and rejects it
+//! on any mismatch ([`DecodeError::Invalid`]`("state digest mismatch")`):
+//! a frame whose content disagrees with what the tracker hashed (a
+//! corrupted slot, an upsert carrying a stale value) fails. The digest
+//! does **not** catch a dirty key the tracker never saw: its rolling
+//! digest covers only the slots it visited, so the fold and the tracker
+//! agree on a frame that lacks the mutation. Missed keys are caught by
+//! the fold-prefix ≡ full-snapshot and resume ≡ uninterrupted oracles
+//! (`tests/resilience_chaos.rs`).
 //!
 //! **A full frame is the delta from the empty state.** An
 //! [`EngineCheckpoint`] is encoded as the frame that takes the empty
@@ -75,25 +89,46 @@ use adsim_types::{AccountId, AdId, AudienceId, CampaignId, Money, SimTime, UserI
 use websim::extension::ObservedAd;
 
 use crate::checkpoint::{
-    decode_observed, decode_profile_facets, encode_observed, encode_profile_facets, ConfigEcho,
-    EngineCheckpoint, ExtensionSnapshot, ReportCounters, ShardCheckpoint, UserCursor,
+    ConfigEcho, EngineCheckpoint, ExtensionSnapshot, ReportCounters, ShardCheckpoint, UserCursor,
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FRAME_DELTA, FRAME_FULL,
 };
-use crate::codec::{DecodeError, Reader, Writer};
-use crate::fault::{FaultReport, LostWork};
+use crate::codec::{layout, DecodeError, Reader, Sink, Wire, Writer};
+use crate::fault::FaultReport;
 use crate::ledger::LedgerHead;
 
 // ---------------------------------------------------------------------------
 // Slot hashing
 // ---------------------------------------------------------------------------
 
-/// Accumulating slot hasher: absorb the tag, the key, and the value, in a
-/// fixed order, and XOR the result into the digest. Two slots hash
-/// independently, so the digest is order-free (a set fold). Built on
-/// [`mix64`]: the digest detects *bookkeeping bugs* (a dirty set missing a
-/// mutated slot), not adversaries — checkpoints are trusted local files.
-#[derive(Clone, Copy)]
+/// The slot hasher: a [`Sink`] that absorbs each word a layout writes,
+/// widened to `u64`, with byte strings folded 8 bytes at a time. Two slots
+/// hash independently, so the digest is order-free (a set fold). Built on
+/// [`mix64`]: the digest detects *bookkeeping bugs*, not adversaries —
+/// checkpoints are trusted local files.
 struct Slot(u64);
+
+impl Sink for Slot {
+    fn u32(&mut self, v: u32) {
+        self.u64(u64::from(v));
+    }
+    fn u64(&mut self, v: u64) {
+        self.0 = mix64(self.0.rotate_left(7) ^ v);
+    }
+    fn flag(&mut self, v: bool) {
+        self.u64(u64::from(v));
+    }
+    fn count(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.count(b.len());
+        for chunk in b.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.u64(u64::from_le_bytes(word));
+        }
+    }
+}
 
 // Section tags: each state section hashes under its own tag so equal
 // key/value bytes in different sections cannot cancel.
@@ -111,101 +146,26 @@ const TAG_CUR: u64 = 11;
 const TAG_SFREQ: u64 = 12;
 const TAG_EXT: u64 = 13;
 
-impl Slot {
-    fn new(tag: u64) -> Self {
-        Slot(mix64(tag ^ 0x9e37_79b9_7f4a_7c15))
-    }
-    fn u64(mut self, v: u64) -> Self {
-        self.0 = mix64(self.0.rotate_left(7) ^ v);
-        self
-    }
-    fn i64(self, v: i64) -> Self {
-        self.u64(v as u64)
-    }
-    fn u32(self, v: u32) -> Self {
-        self.u64(u64::from(v))
-    }
-    fn bytes(mut self, b: &[u8]) -> Self {
-        self = self.u64(b.len() as u64);
-        for chunk in b.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self = self.u64(u64::from_le_bytes(word));
-        }
-        self
-    }
-    fn str(self, s: &str) -> Self {
-        self.bytes(s.as_bytes())
-    }
-    fn done(self) -> u64 {
-        mix64(self.0)
-    }
+/// The digest term of one state slot: its section tag, its key words,
+/// then its value's layout.
+fn slot<K: Wire, V: Wire>(tag: u64, key: &K, value: &V) -> u64 {
+    let mut s = Slot(mix64(tag ^ 0x9e37_79b9_7f4a_7c15));
+    key.put(&mut s);
+    value.put(&mut s);
+    mix64(s.0)
 }
 
-fn hash_impression(index: u64, i: &Impression) -> u64 {
-    Slot::new(TAG_IMP)
-        .u64(index)
-        .u64(i.ad.raw())
-        .u64(i.campaign.raw())
-        .u64(i.account.raw())
-        .u64(i.user.raw())
-        .u64(i.at.0)
-        .i64(i.price.as_micros())
-        .u64(i.spec_digest)
-        .done()
+/// The digest terms of a keyed map, one slot per `(key, value)` entry.
+fn keyed<K: Wire, V: Wire>(tag: u64, entries: &[(K, V)]) -> u64 {
+    entries.iter().fold(0, |d, (k, v)| d ^ slot(tag, k, v))
 }
 
-fn hash_pixel(index: u64, e: &PixelEvent) -> u64 {
-    Slot::new(TAG_PIX)
-        .u64(index)
-        .u64(e.pixel.raw())
-        .u64(e.user.raw())
-        .u64(e.at.0)
-        .done()
-}
-
-fn hash_facets(user: UserId, f: &ProfileFacets) -> u64 {
-    let mut s = Slot::new(TAG_FACET).u64(user.raw());
-    let words = f.attr_words();
-    s = s.u64(words.len() as u64);
-    for w in words {
-        s = s.u64(*w);
-    }
-    s = s.u32(f.state()).u32(f.zip());
-    let visited = f.visited_zip_symbols();
-    s = s.u64(visited.len() as u64);
-    for z in visited {
-        s = s.u32(*z);
-    }
-    s.done()
-}
-
-fn hash_cursor(shard: u64, pos: u32, c: &UserCursor) -> u64 {
-    let mut s = Slot::new(TAG_CUR).u64(shard).u32(pos).u64(c.user.raw());
-    for word in c.rng {
-        s = s.u64(word);
-    }
-    s.u64(c.cursor).u64(c.seq).u64(c.fseq).done()
-}
-
-fn hash_observed(shard: u64, user: UserId, index: u64, o: &ObservedAd) -> u64 {
-    let mut s = Slot::new(TAG_EXT)
-        .u64(shard)
-        .u64(user.raw())
-        .u64(index)
-        .u64(o.ad.raw())
-        .u64(o.at.0)
-        .str(&o.creative.headline)
-        .str(&o.creative.body);
-    s = match &o.creative.image {
-        Some(image) => s.u64(1).bytes(image),
-        None => s.u64(0),
-    };
-    s = match &o.creative.landing_url {
-        Some(url) => s.u64(1).str(url),
-        None => s.u64(0),
-    };
-    s.done()
+/// The digest terms of a journal's entries from position `from` on, each
+/// keyed by its position.
+fn journal<T: Wire>(tag: u64, entries: &[T], from: usize) -> u64 {
+    (from as u64..)
+        .zip(&entries[from..])
+        .fold(0, |d, (i, e)| d ^ slot(tag, &i, e))
 }
 
 /// The set-homomorphic digest of a full checkpoint's mutable state.
@@ -214,61 +174,34 @@ fn hash_observed(shard: u64, user: UserId, index: u64, o: &ObservedAd) -> u64 {
 /// (keyed maps and append-only journals); scalars carried whole by every
 /// frame are excluded. [`DeltaTracker`] maintains the same quantity
 /// incrementally, and decoding a base frame or folding a delta
-/// recomputes it after applying the frame to verify nothing was missed.
+/// recomputes it after applying the frame.
 pub fn state_digest(cp: &EngineCheckpoint) -> u64 {
-    let mut d = 0u64;
     let p = &cp.platform;
-    for (id, m) in &p.billing.account_spend {
-        d ^= Slot::new(TAG_ACCT).u64(id.raw()).i64(m.as_micros()).done();
-    }
-    for (id, m) in &p.billing.campaign_spend {
-        d ^= Slot::new(TAG_CAMP).u64(id.raw()).i64(m.as_micros()).done();
-    }
-    for (id, m) in &p.billing.ad_spend {
-        d ^= Slot::new(TAG_AD).u64(id.raw()).i64(m.as_micros()).done();
-    }
-    for (c, a) in &p.billing.campaign_account {
-        d ^= Slot::new(TAG_LINK).u64(c.raw()).u64(a.raw()).done();
-    }
-    for ((ad, user), count) in &p.freq {
-        d ^= Slot::new(TAG_FREQ)
-            .u64(ad.raw())
-            .u64(user.raw())
-            .u32(*count)
-            .done();
-    }
-    for (i, imp) in p.impressions.iter().enumerate() {
-        d ^= hash_impression(i as u64, imp);
-    }
-    for (i, e) in p.pixel_events.iter().enumerate() {
-        d ^= hash_pixel(i as u64, e);
-    }
+    let b = &p.billing;
+    let mut d = keyed(TAG_ACCT, &b.account_spend)
+        ^ keyed(TAG_CAMP, &b.campaign_spend)
+        ^ keyed(TAG_AD, &b.ad_spend)
+        ^ keyed(TAG_LINK, &b.campaign_account)
+        ^ keyed(TAG_FREQ, &p.freq)
+        ^ journal(TAG_IMP, &p.impressions, 0)
+        ^ journal(TAG_PIX, &p.pixel_events, 0)
+        ^ journal(TAG_SYM, &p.facets.symbols, 0)
+        ^ keyed(TAG_FACET, &p.facets.users);
     for (aud, members) in &p.audience_members {
         for m in members {
-            d ^= Slot::new(TAG_AUD).u64(aud.raw()).u64(m.raw()).done();
+            d ^= slot(TAG_AUD, aud, m);
         }
-    }
-    for (i, s) in p.facets.symbols.iter().enumerate() {
-        d ^= Slot::new(TAG_SYM).u64(i as u64).str(s).done();
-    }
-    for (user, facets) in &p.facets.users {
-        d ^= hash_facets(*user, facets);
     }
     for shard in &cp.shards {
-        for (pos, c) in shard.users.iter().enumerate() {
-            d ^= hash_cursor(shard.index, pos as u32, c);
+        for (pos, c) in (0u32..).zip(&shard.users) {
+            d ^= slot(TAG_CUR, &(shard.index, pos), c);
         }
-        for ((ad, user), count) in &shard.freq {
-            d ^= Slot::new(TAG_SFREQ)
-                .u64(shard.index)
-                .u64(ad.raw())
-                .u64(user.raw())
-                .u32(*count)
-                .done();
+        for (key, count) in &shard.freq {
+            d ^= slot(TAG_SFREQ, &(shard.index, *key), count);
         }
         for e in &shard.extensions {
-            for (i, o) in e.observations.iter().enumerate() {
-                d ^= hash_observed(shard.index, e.user, i as u64, o);
+            for (i, o) in (0u64..).zip(&e.observations) {
+                d ^= slot(TAG_EXT, &(shard.index, e.user, i), o);
             }
         }
     }
@@ -293,6 +226,13 @@ pub struct ShardDelta {
     pub ext: Vec<(UserId, u64, Vec<ObservedAd>)>,
 }
 
+layout!(ShardDelta {
+    index,
+    users,
+    freq,
+    ext,
+});
+
 /// What the engine knows about the run at frame-take time (scalars every
 /// frame carries whole).
 #[derive(Debug, Clone, Default)]
@@ -314,7 +254,8 @@ pub struct DeltaHead {
 }
 
 /// An incremental checkpoint frame: the state mutated since the previous
-/// frame, plus the post-frame [`state_digest`].
+/// frame, plus the post-frame [`state_digest`]. Its fields are the TRCK
+/// body, in wire order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaFrame {
     /// Configuration echo for resume validation.
@@ -377,6 +318,60 @@ pub struct DeltaFrame {
     pub digest: u64,
 }
 
+layout!(DeltaFrame {
+    config,
+    parent_ticks,
+    next_tick_start,
+    report,
+    exhausted,
+    faults,
+    clock_now,
+    stats,
+    small_spend_waiver_micros,
+    impressions_charged,
+    charged_micros,
+    billing_accounts,
+    billing_campaigns,
+    billing_ads,
+    billing_links,
+    freq,
+    impressions_base,
+    impressions_suffix,
+    pixel_base,
+    pixel_suffix,
+    audience_adds,
+    facet_updates,
+    symbols_base,
+    symbols_suffix,
+    facets,
+    shards,
+    ledger,
+    digest,
+});
+
+impl DeltaFrame {
+    /// The decoder's one cross-field check: every facet symbol must fall
+    /// inside the table this frame folds up to, the base length plus this
+    /// frame's suffix.
+    fn check_facet_symbols(&self) -> Result<(), DecodeError> {
+        let bound = self
+            .symbols_base
+            .checked_add(self.symbols_suffix.len() as u64)
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or(DecodeError::Invalid("symbol table too large"))?;
+        let inside = |f: &ProfileFacets| {
+            f.state() < bound
+                && f.zip() < bound
+                && f.visited_zip_symbols().iter().all(|&z| z < bound)
+        };
+        if self.facets.iter().all(|(_, f)| inside(f)) {
+            Ok(())
+        } else {
+            Err(DecodeError::Invalid("facet symbol out of range"))
+        }
+    }
+}
+
 /// A TRCK frame: either a full checkpoint or a delta against the
 /// previous frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -405,9 +400,10 @@ impl CheckpointFrame {
     }
 
     /// Deserializes either frame kind, rejecting bad magic, unknown
-    /// versions, unknown frame kinds, truncation, and trailing bytes. A
-    /// full frame is then rebuilt by applying its body to the empty
-    /// state, so every check the fold makes, digest included, applies.
+    /// versions, unknown frame kinds, truncation, trailing bytes, and
+    /// facet symbols outside the frame's symbol table. A full frame is
+    /// then rebuilt by applying its body to the empty state, so every
+    /// check the fold makes, digest included, applies.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         if r.get_bytes()? != CHECKPOINT_MAGIC {
@@ -421,7 +417,8 @@ impl CheckpointFrame {
         if kind != FRAME_FULL && kind != FRAME_DELTA {
             return Err(DecodeError::Invalid("frame kind byte"));
         }
-        let body = decode_body(&mut r)?;
+        let body = DeltaFrame::get(&mut r)?;
+        body.check_facet_symbols()?;
         r.finish()?;
         if kind == FRAME_DELTA {
             return Ok(CheckpointFrame::Delta(body));
@@ -493,397 +490,8 @@ pub(crate) fn encode_frame(kind: u8, body: &DeltaFrame) -> Vec<u8> {
     w.put_bytes(&CHECKPOINT_MAGIC);
     w.put_u32(CHECKPOINT_VERSION);
     w.put_u8(kind);
-    encode_body(&mut w, body);
+    body.put(&mut w);
     w.into_bytes()
-}
-
-fn encode_body(w: &mut Writer, d: &DeltaFrame) {
-    w.put_u64(d.config.shards);
-    w.put_u64(d.config.seed);
-    w.put_u64(d.config.tick_ms);
-    w.put_u64(d.config.users);
-    w.put_u64(d.config.days);
-    w.put_u64(d.config.views_bits);
-
-    w.put_u64(d.parent_ticks);
-    w.put_u64(d.next_tick_start);
-
-    w.put_u64(d.report.users);
-    w.put_u64(d.report.shards);
-    w.put_u64(d.report.ticks);
-    w.put_u64(d.report.page_views);
-    w.put_u64(d.report.pixel_fires);
-    w.put_u64(d.report.opportunities);
-    w.put_u64(d.report.impressions);
-
-    w.put_u32(d.exhausted.len() as u32);
-    for c in &d.exhausted {
-        w.put_u64(c.raw());
-    }
-
-    w.put_u64(d.faults.injected);
-    w.put_u64(d.faults.recovered);
-    w.put_u64(d.faults.unrecoverable);
-    w.put_u32(d.faults.lost.len() as u32);
-    for l in &d.faults.lost {
-        w.put_u64(l.tick);
-        w.put_u64(l.shard as u64);
-        w.put_u64(l.page_views);
-        w.put_u64(l.pixel_fires);
-        w.put_u64(l.opportunities);
-    }
-
-    w.put_u64(d.clock_now);
-    w.put_u64(d.stats.opportunities);
-    w.put_u64(d.stats.won);
-    w.put_u64(d.stats.lost_to_background);
-    w.put_u64(d.stats.unfilled);
-
-    w.put_i64(d.small_spend_waiver_micros);
-    w.put_u64(d.impressions_charged);
-    w.put_i64(d.charged_micros);
-
-    w.put_u32(d.billing_accounts.len() as u32);
-    for (id, m) in &d.billing_accounts {
-        w.put_u64(id.raw());
-        w.put_i64(*m);
-    }
-    w.put_u32(d.billing_campaigns.len() as u32);
-    for (id, m) in &d.billing_campaigns {
-        w.put_u64(id.raw());
-        w.put_i64(*m);
-    }
-    w.put_u32(d.billing_ads.len() as u32);
-    for (id, m) in &d.billing_ads {
-        w.put_u64(id.raw());
-        w.put_i64(*m);
-    }
-    w.put_u32(d.billing_links.len() as u32);
-    for (c, a) in &d.billing_links {
-        w.put_u64(c.raw());
-        w.put_u64(a.raw());
-    }
-
-    w.put_u32(d.freq.len() as u32);
-    for ((ad, user), count) in &d.freq {
-        w.put_u64(ad.raw());
-        w.put_u64(user.raw());
-        w.put_u32(*count);
-    }
-
-    w.put_u64(d.impressions_base);
-    w.put_u32(d.impressions_suffix.len() as u32);
-    for i in &d.impressions_suffix {
-        w.put_u64(i.ad.raw());
-        w.put_u64(i.campaign.raw());
-        w.put_u64(i.account.raw());
-        w.put_u64(i.user.raw());
-        w.put_u64(i.at.0);
-        w.put_i64(i.price.as_micros());
-        w.put_u64(i.spec_digest);
-    }
-
-    w.put_u64(d.pixel_base);
-    w.put_u32(d.pixel_suffix.len() as u32);
-    for e in &d.pixel_suffix {
-        w.put_u64(e.pixel.raw());
-        w.put_u64(e.user.raw());
-        w.put_u64(e.at.0);
-    }
-
-    w.put_u32(d.audience_adds.len() as u32);
-    for (aud, members) in &d.audience_adds {
-        w.put_u64(aud.raw());
-        w.put_u32(members.len() as u32);
-        for m in members {
-            w.put_u64(m.raw());
-        }
-    }
-
-    w.put_u64(d.facet_updates);
-    w.put_u64(d.symbols_base);
-    w.put_u32(d.symbols_suffix.len() as u32);
-    for s in &d.symbols_suffix {
-        w.put_str(s);
-    }
-    w.put_u32(d.facets.len() as u32);
-    for (user, facets) in &d.facets {
-        w.put_u64(user.raw());
-        encode_profile_facets(w, facets);
-    }
-
-    w.put_u32(d.shards.len() as u32);
-    for s in &d.shards {
-        w.put_u64(s.index);
-        w.put_u32(s.users.len() as u32);
-        for (pos, c) in &s.users {
-            w.put_u32(*pos);
-            w.put_u64(c.user.raw());
-            for word in c.rng {
-                w.put_u64(word);
-            }
-            w.put_u64(c.cursor);
-            w.put_u64(c.seq);
-            w.put_u64(c.fseq);
-        }
-        w.put_u32(s.freq.len() as u32);
-        for ((ad, user), count) in &s.freq {
-            w.put_u64(ad.raw());
-            w.put_u64(user.raw());
-            w.put_u32(*count);
-        }
-        w.put_u32(s.ext.len() as u32);
-        for (user, base, suffix) in &s.ext {
-            w.put_u64(user.raw());
-            w.put_u64(*base);
-            w.put_u32(suffix.len() as u32);
-            for o in suffix {
-                encode_observed(w, o);
-            }
-        }
-    }
-
-    w.put_u32(d.ledger.len() as u32);
-    for h in &d.ledger {
-        w.put_u32(h.chain);
-        w.put_u64(h.head);
-        w.put_u64(h.count);
-    }
-
-    w.put_u64(d.digest);
-}
-
-fn decode_body(r: &mut Reader<'_>) -> Result<DeltaFrame, DecodeError> {
-    let config = ConfigEcho {
-        shards: r.get_u64()?,
-        seed: r.get_u64()?,
-        tick_ms: r.get_u64()?,
-        users: r.get_u64()?,
-        days: r.get_u64()?,
-        views_bits: r.get_u64()?,
-    };
-    let parent_ticks = r.get_u64()?;
-    let next_tick_start = r.get_u64()?;
-    let report = ReportCounters {
-        users: r.get_u64()?,
-        shards: r.get_u64()?,
-        ticks: r.get_u64()?,
-        page_views: r.get_u64()?,
-        pixel_fires: r.get_u64()?,
-        opportunities: r.get_u64()?,
-        impressions: r.get_u64()?,
-    };
-    let n = r.get_u32()?;
-    let exhausted = (0..n)
-        .map(|_| Ok(CampaignId(r.get_u64()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let faults = {
-        let injected = r.get_u64()?;
-        let recovered = r.get_u64()?;
-        let unrecoverable = r.get_u64()?;
-        let n = r.get_u32()?;
-        let lost = (0..n)
-            .map(|_| {
-                Ok(LostWork {
-                    tick: r.get_u64()?,
-                    shard: r.get_u64()? as usize,
-                    page_views: r.get_u64()?,
-                    pixel_fires: r.get_u64()?,
-                    opportunities: r.get_u64()?,
-                })
-            })
-            .collect::<Result<Vec<_>, DecodeError>>()?;
-        FaultReport {
-            injected,
-            recovered,
-            unrecoverable,
-            lost,
-        }
-    };
-    let clock_now = r.get_u64()?;
-    let stats = adplatform::delivery::DeliveryStats {
-        opportunities: r.get_u64()?,
-        won: r.get_u64()?,
-        lost_to_background: r.get_u64()?,
-        unfilled: r.get_u64()?,
-    };
-    let small_spend_waiver_micros = r.get_i64()?;
-    let impressions_charged = r.get_u64()?;
-    let charged_micros = r.get_i64()?;
-
-    let n = r.get_u32()?;
-    let billing_accounts = (0..n)
-        .map(|_| Ok((AccountId(r.get_u64()?), r.get_i64()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let n = r.get_u32()?;
-    let billing_campaigns = (0..n)
-        .map(|_| Ok((CampaignId(r.get_u64()?), r.get_i64()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let n = r.get_u32()?;
-    let billing_ads = (0..n)
-        .map(|_| Ok((AdId(r.get_u64()?), r.get_i64()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let n = r.get_u32()?;
-    let billing_links = (0..n)
-        .map(|_| Ok((CampaignId(r.get_u64()?), AccountId(r.get_u64()?))))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let n = r.get_u32()?;
-    let freq = (0..n)
-        .map(|_| Ok(((AdId(r.get_u64()?), UserId(r.get_u64()?)), r.get_u32()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let impressions_base = r.get_u64()?;
-    let n = r.get_u32()?;
-    let impressions_suffix = (0..n)
-        .map(|_| {
-            Ok(Impression {
-                ad: AdId(r.get_u64()?),
-                campaign: CampaignId(r.get_u64()?),
-                account: AccountId(r.get_u64()?),
-                user: UserId(r.get_u64()?),
-                at: SimTime(r.get_u64()?),
-                price: Money::micros(r.get_i64()?),
-                spec_digest: r.get_u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let pixel_base = r.get_u64()?;
-    let n = r.get_u32()?;
-    let pixel_suffix = (0..n)
-        .map(|_| {
-            Ok(PixelEvent {
-                pixel: adsim_types::PixelId(r.get_u64()?),
-                user: UserId(r.get_u64()?),
-                at: SimTime(r.get_u64()?),
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let n = r.get_u32()?;
-    let audience_adds = (0..n)
-        .map(|_| {
-            let aud = AudienceId(r.get_u64()?);
-            let m = r.get_u32()?;
-            let members = (0..m)
-                .map(|_| Ok(UserId(r.get_u64()?)))
-                .collect::<Result<Vec<_>, DecodeError>>()?;
-            Ok((aud, members))
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let facet_updates = r.get_u64()?;
-    let symbols_base = r.get_u64()?;
-    let n = r.get_u32()?;
-    let symbols_suffix = (0..n)
-        .map(|_| r.get_str())
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    // Facet symbol references must fit inside the table this frame folds
-    // up to: the base length plus this frame's suffix.
-    let symbol_bound = u32::try_from(symbols_base + symbols_suffix.len() as u64)
-        .map_err(|_| DecodeError::Invalid("symbol table too large"))?;
-    let n = r.get_u32()?;
-    let facets = (0..n)
-        .map(|_| {
-            let user = UserId(r.get_u64()?);
-            let f = decode_profile_facets(r, symbol_bound)?;
-            Ok((user, f))
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let n = r.get_u32()?;
-    let shards = (0..n)
-        .map(|_| {
-            let index = r.get_u64()?;
-            let n = r.get_u32()?;
-            let users = (0..n)
-                .map(|_| {
-                    let pos = r.get_u32()?;
-                    let user = UserId(r.get_u64()?);
-                    let mut rng = [0u64; 4];
-                    for word in rng.iter_mut() {
-                        *word = r.get_u64()?;
-                    }
-                    Ok((
-                        pos,
-                        UserCursor {
-                            user,
-                            rng,
-                            cursor: r.get_u64()?,
-                            seq: r.get_u64()?,
-                            fseq: r.get_u64()?,
-                        },
-                    ))
-                })
-                .collect::<Result<Vec<_>, DecodeError>>()?;
-            let n = r.get_u32()?;
-            let freq = (0..n)
-                .map(|_| Ok(((AdId(r.get_u64()?), UserId(r.get_u64()?)), r.get_u32()?)))
-                .collect::<Result<Vec<_>, DecodeError>>()?;
-            let n = r.get_u32()?;
-            let ext = (0..n)
-                .map(|_| {
-                    let user = UserId(r.get_u64()?);
-                    let base = r.get_u64()?;
-                    let m = r.get_u32()?;
-                    let suffix = (0..m)
-                        .map(|_| decode_observed(r))
-                        .collect::<Result<Vec<_>, DecodeError>>()?;
-                    Ok((user, base, suffix))
-                })
-                .collect::<Result<Vec<_>, DecodeError>>()?;
-            Ok(ShardDelta {
-                index,
-                users,
-                freq,
-                ext,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let n = r.get_u32()?;
-    let ledger = (0..n)
-        .map(|_| {
-            Ok(LedgerHead {
-                chain: r.get_u32()?,
-                head: r.get_u64()?,
-                count: r.get_u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-
-    let digest = r.get_u64()?;
-    Ok(DeltaFrame {
-        config,
-        parent_ticks,
-        next_tick_start,
-        report,
-        exhausted,
-        faults,
-        clock_now,
-        stats,
-        small_spend_waiver_micros,
-        impressions_charged,
-        charged_micros,
-        billing_accounts,
-        billing_campaigns,
-        billing_ads,
-        billing_links,
-        freq,
-        impressions_base,
-        impressions_suffix,
-        pixel_base,
-        pixel_suffix,
-        audience_adds,
-        facet_updates,
-        symbols_base,
-        symbols_suffix,
-        facets,
-        shards,
-        ledger,
-        digest,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1113,10 +721,10 @@ fn apply(cur: &mut EngineCheckpoint, d: DeltaFrame, base: bool) -> Result<(), De
 /// configuration, keyed upserts must be strictly increasing, journal
 /// suffixes must append at exactly the length the folded state has
 /// reached, and after each application (the same one that decodes a
-/// base frame) the folded
-/// state's [`state_digest`] must equal the digest the frame recorded —
-/// so a delta whose dirty bookkeeping missed a mutated slot fails here
-/// rather than resuming silently wrong.
+/// base frame) the folded state's [`state_digest`] must equal the digest
+/// the frame recorded, so a frame whose content disagrees with what the
+/// tracker hashed fails here. A dirty key the tracker never saw is not
+/// caught here (see the [module docs](self)).
 pub fn fold_frames(frames: &[CheckpointFrame]) -> Result<EngineCheckpoint, DecodeError> {
     let mut iter = frames.iter();
     let mut cur = match iter.next() {
@@ -1149,15 +757,19 @@ pub fn fold_frames(frames: &[CheckpointFrame]) -> Result<EngineCheckpoint, Decod
 /// with a freshly taken full frame (rebuilding last-value maps, journal
 /// high-water marks, and the rolling digest in one O(state) pass —
 /// amortized over the base-frame cadence); between base frames,
-/// [`DeltaTracker::take_delta`] emits a [`DeltaFrame`] in time
-/// proportional to *what changed*, not to the state size:
+/// [`DeltaTracker::take_delta`] emits a [`DeltaFrame`] and works out the
+/// dirty keys itself, so the platform stores keep no delta bookkeeping:
 ///
 /// * billing and global frequency dirty keys are **derived from the
 ///   impression-log suffix** (each impression names the exact slots its
 ///   application touched), so the delivery hot path carries no extra
 ///   bookkeeping at all;
-/// * audience and facet dirty keys are drained from the mutation-site
-///   sets the [`adplatform`] stores maintain;
+/// * audience and facet dirty keys come from **diffing the stores**
+///   against the last frame: an audience whose size moved lists the
+///   members the tracker has not seen, and once the profile store's
+///   facet-update counter moves, every user whose facet hash changed is
+///   emitted. Nothing in an engine tick changes facets, so a run never
+///   pays for the facet scan;
 /// * shard cursors, shard frequency upserts, and extension-log suffixes
 ///   are handed in by the engine (which owns the shards) as
 ///   [`ShardDeltaSource`]s.
@@ -1169,6 +781,11 @@ pub struct DeltaTracker {
     ad: BTreeMap<AdId, i64>,
     links: BTreeSet<CampaignId>,
     freq: BTreeMap<(AdId, UserId), u32>,
+    // Members of every audience at the last frame.
+    audiences: BTreeMap<AudienceId, BTreeSet<UserId>>,
+    // The profile store's facet-update counter and every user's facet
+    // digest term at the last frame.
+    facet_updates: u64,
     facets: BTreeMap<UserId, u64>,
     impressions_mark: usize,
     pixel_mark: usize,
@@ -1198,6 +815,27 @@ pub struct ShardDeltaSource {
     pub ext: Vec<(UserId, Vec<ObservedAd>)>,
 }
 
+/// Moves a tracked slot to `cur`, XORing its old digest term out of
+/// `digest` and its new one in; false when the value did not change.
+fn update<K: Ord, V: Copy + PartialEq>(
+    digest: &mut u64,
+    map: &mut BTreeMap<K, V>,
+    key: K,
+    cur: V,
+    term: impl Fn(&V) -> u64,
+) -> bool {
+    match map.insert(key, cur) {
+        Some(old) if old == cur => false,
+        old => {
+            if let Some(old) = old {
+                *digest ^= term(&old);
+            }
+            *digest ^= term(&cur);
+            true
+        }
+    }
+}
+
 impl DeltaTracker {
     /// A tracker for `shards` shards, aligned with the empty state (call
     /// [`Self::rebase`] with the first full frame before taking deltas).
@@ -1212,39 +850,29 @@ impl DeltaTracker {
     }
 
     /// Aligns the tracker with a freshly taken full frame: last-value
-    /// maps, journal marks, and the rolling digest are rebuilt from `cp`,
-    /// and the platform stores' mutation-site dirty sets are drained (the
-    /// full frame captured them). O(state), paid once per base frame.
-    pub fn rebase(&mut self, cp: &EngineCheckpoint, platform: &mut Platform) {
-        let _ = platform.audiences.take_dirty();
-        let _ = platform.profiles.take_dirty_facets();
+    /// maps, journal marks, and the rolling digest are rebuilt from `cp`
+    /// alone (the platform is not read). O(state), paid once per base
+    /// frame.
+    pub fn rebase(&mut self, cp: &EngineCheckpoint, _platform: &Platform) {
         self.ticks = cp.report.ticks;
         let p = &cp.platform;
-        self.acct = p
-            .billing
-            .account_spend
-            .iter()
-            .map(|(id, m)| (*id, m.as_micros()))
-            .collect();
-        self.camp = p
-            .billing
-            .campaign_spend
-            .iter()
-            .map(|(id, m)| (*id, m.as_micros()))
-            .collect();
-        self.ad = p
-            .billing
-            .ad_spend
-            .iter()
-            .map(|(id, m)| (*id, m.as_micros()))
-            .collect();
-        self.links = p.billing.campaign_account.iter().map(|(c, _)| *c).collect();
+        let b = &p.billing;
+        self.acct = micros(&b.account_spend).into_iter().collect();
+        self.camp = micros(&b.campaign_spend).into_iter().collect();
+        self.ad = micros(&b.ad_spend).into_iter().collect();
+        self.links = b.campaign_account.iter().map(|(c, _)| *c).collect();
         self.freq = p.freq.iter().copied().collect();
+        self.audiences = p
+            .audience_members
+            .iter()
+            .map(|(aud, members)| (*aud, members.iter().copied().collect()))
+            .collect();
+        self.facet_updates = p.facets.facet_updates;
         self.facets = p
             .facets
             .users
             .iter()
-            .map(|(u, f)| (*u, hash_facets(*u, f)))
+            .map(|(u, f)| (*u, slot(TAG_FACET, u, f)))
             .collect();
         self.impressions_mark = p.impressions.len();
         self.pixel_mark = p.pixel_events.len();
@@ -1255,11 +883,9 @@ impl DeltaTracker {
         self.shard_freq_dirty = vec![Vec::new(); shards];
         self.shard_ext_marks = vec![BTreeMap::new(); shards];
         for (s, shard) in cp.shards.iter().enumerate() {
-            self.shard_cursors[s] = shard
-                .users
-                .iter()
-                .enumerate()
-                .map(|(pos, c)| hash_cursor(shard.index, pos as u32, c))
+            self.shard_cursors[s] = (0u32..)
+                .zip(&shard.users)
+                .map(|(pos, c)| slot(TAG_CUR, &(shard.index, pos), c))
                 .collect();
             self.shard_freq[s] = shard.freq.iter().copied().collect();
             for e in &shard.extensions {
@@ -1298,7 +924,7 @@ impl DeltaTracker {
     pub fn take_delta(
         &mut self,
         head: DeltaHead,
-        platform: &mut Platform,
+        platform: &Platform,
         shards: Vec<ShardDeltaSource>,
     ) -> DeltaFrame {
         // Derive billing/frequency dirty keys from the impression-log
@@ -1309,8 +935,8 @@ impl DeltaTracker {
         let mut camp_keys = BTreeSet::new();
         let mut ad_keys = BTreeSet::new();
         let mut freq_keys = Vec::new();
-        for (i, imp) in imps.iter().enumerate().skip(self.impressions_mark) {
-            self.digest ^= hash_impression(i as u64, imp);
+        for (i, imp) in (self.impressions_mark as u64..).zip(&imps[self.impressions_mark..]) {
+            self.digest ^= slot(TAG_IMP, &i, imp);
             acct_keys.insert(imp.account);
             camp_keys.insert(imp.campaign);
             ad_keys.insert(imp.ad);
@@ -1322,14 +948,11 @@ impl DeltaTracker {
         let impressions_suffix = imps[self.impressions_mark..].to_vec();
         self.impressions_mark = imps.len();
 
+        let digest = &mut self.digest;
         let mut billing_accounts = Vec::new();
         for id in acct_keys {
             let cur = platform.billing.account_spend(id).as_micros();
-            if self.acct.get(&id) != Some(&cur) {
-                if let Some(old) = self.acct.insert(id, cur) {
-                    self.digest ^= Slot::new(TAG_ACCT).u64(id.raw()).i64(old).done();
-                }
-                self.digest ^= Slot::new(TAG_ACCT).u64(id.raw()).i64(cur).done();
+            if update(digest, &mut self.acct, id, cur, |v| slot(TAG_ACCT, &id, v)) {
                 billing_accounts.push((id, cur));
             }
         }
@@ -1337,17 +960,13 @@ impl DeltaTracker {
         let mut billing_links = Vec::new();
         for id in camp_keys {
             let cur = platform.billing.campaign_spend(id).as_micros();
-            if self.camp.get(&id) != Some(&cur) {
-                if let Some(old) = self.camp.insert(id, cur) {
-                    self.digest ^= Slot::new(TAG_CAMP).u64(id.raw()).i64(old).done();
-                }
-                self.digest ^= Slot::new(TAG_CAMP).u64(id.raw()).i64(cur).done();
+            if update(digest, &mut self.camp, id, cur, |v| slot(TAG_CAMP, &id, v)) {
                 billing_campaigns.push((id, cur));
             }
             if !self.links.contains(&id) {
                 if let Some(account) = platform.billing.campaign_account(id) {
                     self.links.insert(id);
-                    self.digest ^= Slot::new(TAG_LINK).u64(id.raw()).u64(account.raw()).done();
+                    *digest ^= slot(TAG_LINK, &id, &account);
                     billing_links.push((id, account));
                 }
             }
@@ -1355,74 +974,54 @@ impl DeltaTracker {
         let mut billing_ads = Vec::new();
         for id in ad_keys {
             let cur = platform.billing.ad_spend(id).as_micros();
-            if self.ad.get(&id) != Some(&cur) {
-                if let Some(old) = self.ad.insert(id, cur) {
-                    self.digest ^= Slot::new(TAG_AD).u64(id.raw()).i64(old).done();
-                }
-                self.digest ^= Slot::new(TAG_AD).u64(id.raw()).i64(cur).done();
+            if update(digest, &mut self.ad, id, cur, |v| slot(TAG_AD, &id, v)) {
                 billing_ads.push((id, cur));
             }
         }
         let mut freq = Vec::new();
         for key in freq_keys {
             let cur = platform.freq.count(key.0, key.1);
-            if self.freq.get(&key) != Some(&cur) {
-                if let Some(old) = self.freq.insert(key, cur) {
-                    self.digest ^= Slot::new(TAG_FREQ)
-                        .u64(key.0.raw())
-                        .u64(key.1.raw())
-                        .u32(old)
-                        .done();
-                }
-                self.digest ^= Slot::new(TAG_FREQ)
-                    .u64(key.0.raw())
-                    .u64(key.1.raw())
-                    .u32(cur)
-                    .done();
+            if update(digest, &mut self.freq, key, cur, |v| {
+                slot(TAG_FREQ, &key, v)
+            }) {
                 freq.push((key, cur));
             }
         }
 
         let pixels = platform.pixels.events();
-        for (i, e) in pixels.iter().enumerate().skip(self.pixel_mark) {
-            self.digest ^= hash_pixel(i as u64, e);
-        }
+        *digest ^= journal(TAG_PIX, pixels, self.pixel_mark);
         let pixel_base = self.pixel_mark as u64;
         let pixel_suffix = pixels[self.pixel_mark..].to_vec();
         self.pixel_mark = pixels.len();
 
-        // Mutation-site dirty sets: audience membership adds and facet
-        // rewrites.
-        let mut audience_adds: Vec<(AudienceId, Vec<UserId>)> = Vec::new();
-        for (aud, user) in platform.audiences.take_dirty() {
-            self.digest ^= Slot::new(TAG_AUD).u64(aud.raw()).u64(user.raw()).done();
-            match audience_adds.last_mut() {
-                Some((a, members)) if *a == aud => members.push(user),
-                _ => audience_adds.push((aud, vec![user])),
+        // Audience and facet dirty keys, diffed against the last frame.
+        // Memberships only grow, so an audience whose size is unchanged
+        // gained no one.
+        let mut audience_adds = Vec::new();
+        for aud in platform.audiences.iter() {
+            let known = self.audiences.entry(aud.id).or_default();
+            if aud.exact_size() != known.len() {
+                let adds: Vec<UserId> = aud.members().filter(|&u| known.insert(u)).collect();
+                for user in &adds {
+                    *digest ^= slot(TAG_AUD, &aud.id, user);
+                }
+                audience_adds.push((aud.id, adds));
             }
         }
         let mut facets = Vec::new();
-        for user in platform.profiles.take_dirty_facets() {
-            let f = platform
-                .profiles
-                .get(user)
-                .expect("dirty facet user exists")
-                .facets
-                .clone();
-            let h = hash_facets(user, &f);
-            if self.facets.get(&user) != Some(&h) {
-                if let Some(old) = self.facets.insert(user, h) {
-                    self.digest ^= old;
+        let facet_updates = platform.profiles.facet_updates();
+        if facet_updates != self.facet_updates {
+            self.facet_updates = facet_updates;
+            for profile in platform.profiles.iter() {
+                let term = slot(TAG_FACET, &profile.id, &profile.facets);
+                if update(digest, &mut self.facets, profile.id, term, |&t| t) {
+                    facets.push((profile.id, profile.facets.clone()));
                 }
-                self.digest ^= h;
-                facets.push((user, f));
             }
         }
 
         let symbols = platform.profiles.symbols().names();
-        for (i, s) in symbols.iter().enumerate().skip(self.symbols_mark) {
-            self.digest ^= Slot::new(TAG_SYM).u64(i as u64).str(s).done();
-        }
+        *digest ^= journal(TAG_SYM, symbols, self.symbols_mark);
         let symbols_base = self.symbols_mark as u64;
         let symbols_suffix = symbols[self.symbols_mark..].to_vec();
         self.symbols_mark = symbols.len();
@@ -1436,28 +1035,15 @@ impl DeltaTracker {
                 ext: Vec::with_capacity(src.ext.len()),
             };
             for (pos, c) in src.cursors {
-                let h = hash_cursor(src.index, pos, &c);
-                let slot = &mut self.shard_cursors[s][pos as usize];
-                self.digest ^= *slot ^ h;
-                *slot = h;
+                let h = slot(TAG_CUR, &(src.index, pos), &c);
+                let held = &mut self.shard_cursors[s][pos as usize];
+                *digest ^= *held ^ h;
+                *held = h;
                 sd.users.push((pos, c));
             }
             for (key, cur) in src.freq {
-                if self.shard_freq[s].get(&key) != Some(&cur) {
-                    if let Some(old) = self.shard_freq[s].insert(key, cur) {
-                        self.digest ^= Slot::new(TAG_SFREQ)
-                            .u64(src.index)
-                            .u64(key.0.raw())
-                            .u64(key.1.raw())
-                            .u32(old)
-                            .done();
-                    }
-                    self.digest ^= Slot::new(TAG_SFREQ)
-                        .u64(src.index)
-                        .u64(key.0.raw())
-                        .u64(key.1.raw())
-                        .u32(cur)
-                        .done();
+                let term = |v: &u32| slot(TAG_SFREQ, &(src.index, key), v);
+                if update(digest, &mut self.shard_freq[s], key, cur, term) {
                     sd.freq.push((key, cur));
                 }
             }
@@ -1467,8 +1053,8 @@ impl DeltaTracker {
                 }
                 let mark = self.shard_ext_marks[s].entry(user).or_insert(0);
                 let base = *mark as u64;
-                for (i, o) in suffix.iter().enumerate() {
-                    self.digest ^= hash_observed(src.index, user, base + i as u64, o);
+                for (i, o) in (base..).zip(&suffix) {
+                    *digest ^= slot(TAG_EXT, &(src.index, user, i), o);
                 }
                 *mark += suffix.len();
                 sd.ext.push((user, base, suffix));
@@ -1501,7 +1087,7 @@ impl DeltaTracker {
             pixel_base,
             pixel_suffix,
             audience_adds,
-            facet_updates: platform.profiles.facet_updates(),
+            facet_updates,
             symbols_base,
             symbols_suffix,
             facets,
@@ -1514,6 +1100,7 @@ impl DeltaTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::LostWork;
     use adplatform::billing::LedgerState;
     use adplatform::delivery::DeliveryStats;
     use adplatform::profile::FacetsState;
@@ -1735,10 +1322,12 @@ mod tests {
 
     #[test]
     fn a_dirty_set_missing_a_mutated_slot_fails_the_digest_check() {
-        // Simulate buggy bookkeeping: the frequency-cap bump never made it
-        // into the frame, but the digest (maintained at the mutation
-        // sites) covers the true state. Folding must fail loudly instead
-        // of resuming with a stale cap.
+        // The frequency-cap bump is dropped from a frame whose digest was
+        // taken over the true state, so the frame's content disagrees
+        // with its digest and the fold refuses it. This is what the
+        // digest catches. A key the tracker itself never saw would be
+        // missing from both the frame and its rolling digest, and only
+        // the fold-prefix and resume oracles catch that.
         let (_, mut delta) = advanced();
         delta.freq.clear();
         assert_eq!(
@@ -1871,12 +1460,96 @@ mod tests {
         );
     }
 
+    /// A delta on top of `advanced()`'s state that takes the branches the
+    /// other samples skip: a lost-work entry, a symbol and a body longer
+    /// than one 8-byte word, facets with several attribute words and
+    /// visited ZIPs, and an extension suffix at a nonzero base whose
+    /// observation has a landing URL, no image and an empty headline.
+    /// Returns the parent state, the state the delta folds up to, and the
+    /// delta.
+    fn rich() -> (EngineCheckpoint, EngineCheckpoint, DeltaFrame) {
+        let parent = advanced().0;
+        let mut next = parent.clone();
+        next.next_tick_start = 3000;
+        next.report.ticks = 3;
+        next.report.page_views = 11;
+        let lost = LostWork {
+            tick: 2,
+            shard: 0,
+            page_views: 3,
+            pixel_fires: 1,
+            opportunities: 6,
+        };
+        next.faults = FaultReport {
+            injected: 2,
+            recovered: 0,
+            unrecoverable: 1,
+            lost: vec![lost],
+        };
+        let p = &mut next.platform;
+        p.clock_now = SimTime(3000);
+        p.facets.symbols.push("Massachusetts".into());
+        p.facets.facet_updates = 5;
+        let facets = ProfileFacets::from_parts(vec![0b101, 0, 1 << 63], 3, 1, vec![0, 2, 3]);
+        p.facets.users.push((UserId(2), facets.clone()));
+        let obs = ObservedAd {
+            ad: AdId(7),
+            at: SimTime(2500),
+            creative: adplatform::AdCreative {
+                headline: String::new(),
+                body: "a body longer than one word".into(),
+                image: None,
+                landing_url: Some("https://provider.example/t/7".into()),
+            },
+        };
+        next.shards[0].extensions[0].observations.push(obs.clone());
+
+        let delta = DeltaFrame {
+            config: next.config.clone(),
+            parent_ticks: 2,
+            next_tick_start: 3000,
+            report: next.report,
+            exhausted: vec![],
+            faults: next.faults.clone(),
+            clock_now: 3000,
+            stats: next.platform.stats,
+            small_spend_waiver_micros: 10_000,
+            impressions_charged: 2,
+            charged_micros: 5_000,
+            impressions_base: 2,
+            pixel_base: 1,
+            facet_updates: 5,
+            symbols_base: 3,
+            symbols_suffix: vec!["Massachusetts".into()],
+            facets: vec![(UserId(2), facets)],
+            shards: vec![ShardDelta {
+                index: 0,
+                ext: vec![(UserId(1), 1, vec![obs])],
+                ..ShardDelta::default()
+            }],
+            ledger: next.ledger.clone(),
+            digest: state_digest(&next),
+            ..DeltaFrame::default()
+        };
+        (parent, next, delta)
+    }
+
+    #[test]
+    fn the_rich_delta_folds_to_its_state() {
+        let (parent, next, delta) = rich();
+        let folded =
+            fold_frames(&[CheckpointFrame::Full(parent), CheckpointFrame::Delta(delta)]).unwrap();
+        assert_eq!(folded, next);
+        assert_eq!(folded.to_bytes(), next.to_bytes());
+    }
+
     /// The richest sample of each frame kind, encoded: the checkpoint
-    /// module's full sample and this module's delta.
-    fn sample_frames() -> [Vec<u8>; 2] {
+    /// module's full sample, this module's delta, and the rich delta.
+    fn sample_frames() -> [Vec<u8>; 3] {
         [
             CheckpointFrame::Full(crate::checkpoint::tests::sample()).to_bytes(),
             CheckpointFrame::Delta(advanced().1).to_bytes(),
+            CheckpointFrame::Delta(rich().2).to_bytes(),
         ]
     }
 
@@ -1884,12 +1557,400 @@ mod tests {
     fn frame_layout_is_pinned_to_the_version() {
         // A layout change must bump CHECKPOINT_VERSION: update this pin
         // only together with the version.
-        let [full, delta] = sample_frames().map(|b| adsim_types::hash::sha256(&b).fingerprint());
+        let [full, delta, rich_delta] =
+            sample_frames().map(|b| adsim_types::hash::sha256(&b).fingerprint());
         assert_eq!(
             (CHECKPOINT_VERSION, full, delta),
             (6, 0xce99_1b92_7eb0_6d8a, 0x484c_8916_06fd_a0cb),
             "frame bytes changed: bump CHECKPOINT_VERSION and re-pin"
         );
+        // The rich delta's bytes and the digest of the state it folds up
+        // to, which hashes a landing URL and a multi-word body and symbol.
+        assert_eq!(
+            (rich_delta, state_digest(&rich().1)),
+            (0x8bfa_9f48_1dca_64ec, 0x94d6_6664_cc09_089e),
+            "rich frame bytes or state digest changed: bump CHECKPOINT_VERSION and re-pin"
+        );
+    }
+
+    /// A seeded stream of test values. The vendored proptest has no
+    /// dependent strategies, so a generated frame draws its lengths,
+    /// strings and options from here.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix64(self.0)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+        fn len(&mut self) -> usize {
+            self.below(4) as usize
+        }
+        fn vec<T>(&mut self, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            let n = self.len();
+            (0..n).map(|_| item(self)).collect()
+        }
+        /// Strictly increasing small keys.
+        fn keys(&mut self) -> Vec<u64> {
+            let set: BTreeSet<u64> = self.vec(|g| g.below(40)).into_iter().collect();
+            set.into_iter().collect()
+        }
+        fn string(&mut self) -> String {
+            let n = self.below(20);
+            (0..n)
+                .map(|_| ['a', 'z', '0', ' ', 'é', '/'][self.below(6) as usize])
+                .collect()
+        }
+        fn option<T>(&mut self, item: impl FnOnce(&mut Self) -> T) -> Option<T> {
+            self.coin().then(|| item(self))
+        }
+        fn cursor(&mut self, user: u64) -> UserCursor {
+            UserCursor {
+                user: UserId(user),
+                rng: [self.next(), self.next(), self.next(), self.next()],
+                cursor: self.below(100),
+                seq: self.below(100),
+                fseq: self.below(100),
+            }
+        }
+        fn observed(&mut self) -> ObservedAd {
+            ObservedAd {
+                ad: AdId(self.below(9)),
+                at: SimTime(self.next()),
+                creative: adplatform::AdCreative {
+                    headline: self.string(),
+                    body: self.string(),
+                    image: self.option(|g| g.string().into_bytes()),
+                    landing_url: self.option(Self::string),
+                },
+            }
+        }
+        /// Facets whose symbols all fall below `symbols` (at least 1).
+        fn facets(&mut self, symbols: u64) -> ProfileFacets {
+            let words = self.vec(Self::next);
+            let visited: BTreeSet<u32> =
+                self.vec(|g| g.below(symbols) as u32).into_iter().collect();
+            ProfileFacets::from_parts(
+                words,
+                self.below(symbols) as u32,
+                self.below(symbols) as u32,
+                visited.into_iter().collect(),
+            )
+        }
+        fn impression(&mut self) -> Impression {
+            Impression {
+                ad: AdId(self.below(9)),
+                campaign: CampaignId(self.below(9)),
+                account: AccountId(self.below(9)),
+                user: UserId(self.below(9)),
+                at: SimTime(self.next()),
+                price: Money::micros(self.next() as i64),
+                spec_digest: self.next(),
+            }
+        }
+        fn pixel(&mut self) -> PixelEvent {
+            PixelEvent {
+                pixel: PixelId(self.below(9)),
+                user: UserId(self.below(9)),
+                at: SimTime(self.next()),
+            }
+        }
+        fn faults(&mut self) -> FaultReport {
+            FaultReport {
+                injected: self.next(),
+                recovered: self.next(),
+                unrecoverable: self.next(),
+                lost: self.vec(|g| LostWork {
+                    tick: g.next(),
+                    shard: g.below(8) as usize,
+                    page_views: g.next(),
+                    pixel_fires: g.next(),
+                    opportunities: g.next(),
+                }),
+            }
+        }
+        fn ledger(&mut self) -> Vec<LedgerHead> {
+            self.vec(|g| LedgerHead {
+                chain: g.below(8) as u32,
+                head: g.next(),
+                count: g.next(),
+            })
+        }
+        fn report(&mut self) -> ReportCounters {
+            ReportCounters {
+                users: self.next(),
+                shards: self.next(),
+                ticks: self.next(),
+                page_views: self.next(),
+                pixel_fires: self.next(),
+                opportunities: self.next(),
+                impressions: self.next(),
+            }
+        }
+        fn config(&mut self) -> ConfigEcho {
+            ConfigEcho {
+                shards: self.next(),
+                seed: self.next(),
+                tick_ms: self.next(),
+                users: self.next(),
+                days: self.next(),
+                views_bits: self.next(),
+            }
+        }
+        fn stats(&mut self) -> DeliveryStats {
+            DeliveryStats {
+                opportunities: self.next(),
+                won: self.next(),
+                lost_to_background: self.next(),
+                unfilled: self.next(),
+            }
+        }
+
+        /// A delta frame with random contents; only its facet symbols are
+        /// constrained, to the table the frame folds up to.
+        fn delta(&mut self) -> DeltaFrame {
+            let symbols_base = self.below(3);
+            let symbols_suffix = self.vec(Self::string);
+            let symbols = symbols_base + symbols_suffix.len() as u64;
+            let facets = if symbols == 0 {
+                Vec::new()
+            } else {
+                self.vec(|g| (UserId(g.below(9)), g.facets(symbols)))
+            };
+            DeltaFrame {
+                config: self.config(),
+                parent_ticks: self.next(),
+                next_tick_start: self.next(),
+                report: self.report(),
+                exhausted: self.vec(|g| CampaignId(g.next())),
+                faults: self.faults(),
+                clock_now: self.next(),
+                stats: self.stats(),
+                small_spend_waiver_micros: self.next() as i64,
+                impressions_charged: self.next(),
+                charged_micros: self.next() as i64,
+                billing_accounts: self.vec(|g| (AccountId(g.next()), g.next() as i64)),
+                billing_campaigns: self.vec(|g| (CampaignId(g.next()), g.next() as i64)),
+                billing_ads: self.vec(|g| (AdId(g.next()), g.next() as i64)),
+                billing_links: self.vec(|g| (CampaignId(g.next()), AccountId(g.next()))),
+                freq: self.vec(|g| ((AdId(g.next()), UserId(g.next())), g.next() as u32)),
+                impressions_base: self.next(),
+                impressions_suffix: self.vec(Self::impression),
+                pixel_base: self.next(),
+                pixel_suffix: self.vec(Self::pixel),
+                audience_adds: self.vec(|g| (AudienceId(g.next()), g.vec(|g| UserId(g.next())))),
+                facet_updates: self.next(),
+                symbols_base,
+                symbols_suffix,
+                facets,
+                shards: self.vec(|g| ShardDelta {
+                    index: g.next(),
+                    users: g.vec(|g| {
+                        let user = g.below(9);
+                        (g.next() as u32, g.cursor(user))
+                    }),
+                    freq: g.vec(|g| ((AdId(g.next()), UserId(g.next())), g.next() as u32)),
+                    ext: g.vec(|g| (UserId(g.next()), g.next(), g.vec(Self::observed))),
+                }),
+                ledger: self.ledger(),
+                digest: self.next(),
+            }
+        }
+
+        /// A checkpoint a base frame can carry: keyed sections strictly
+        /// increasing, symbols distinct, facet symbols inside the table.
+        fn checkpoint(&mut self) -> EngineCheckpoint {
+            let symbols: Vec<String> = self
+                .keys()
+                .into_iter()
+                .map(|k| format!("symbol-{k}"))
+                .collect();
+            let n_symbols = symbols.len() as u64;
+            let facet_users = if n_symbols == 0 {
+                Vec::new()
+            } else {
+                self.keys()
+            };
+            EngineCheckpoint {
+                config: self.config(),
+                next_tick_start: self.next(),
+                report: self.report(),
+                exhausted: self.vec(|g| CampaignId(g.next())),
+                faults: self.faults(),
+                platform: PlatformState {
+                    clock_now: SimTime(self.next()),
+                    billing: LedgerState {
+                        account_spend: self
+                            .keys()
+                            .into_iter()
+                            .map(|k| (AccountId(k), Money::micros(self.next() as i64)))
+                            .collect(),
+                        campaign_spend: self
+                            .keys()
+                            .into_iter()
+                            .map(|k| (CampaignId(k), Money::micros(self.next() as i64)))
+                            .collect(),
+                        ad_spend: self
+                            .keys()
+                            .into_iter()
+                            .map(|k| (AdId(k), Money::micros(self.next() as i64)))
+                            .collect(),
+                        campaign_account: self
+                            .keys()
+                            .into_iter()
+                            .map(|k| (CampaignId(k), AccountId(self.next())))
+                            .collect(),
+                        small_spend_waiver: Money::micros(self.next() as i64),
+                        impressions_charged: self.next(),
+                        charged_micros: self.next() as i64,
+                    },
+                    freq: self
+                        .keys()
+                        .into_iter()
+                        .map(|k| ((AdId(k / 8), UserId(k % 8)), self.next() as u32))
+                        .collect(),
+                    impressions: self.vec(Self::impression),
+                    stats: self.stats(),
+                    pixel_events: self.vec(Self::pixel),
+                    audience_members: self
+                        .keys()
+                        .into_iter()
+                        .map(|k| (AudienceId(k), self.keys().into_iter().map(UserId).collect()))
+                        .collect(),
+                    facets: FacetsState {
+                        symbols,
+                        facet_updates: self.next(),
+                        users: facet_users
+                            .into_iter()
+                            .map(|u| (UserId(u), self.facets(n_symbols)))
+                            .collect(),
+                    },
+                },
+                shards: self
+                    .keys()
+                    .into_iter()
+                    .map(|index| ShardCheckpoint {
+                        index,
+                        users: self.keys().into_iter().map(|u| self.cursor(u)).collect(),
+                        freq: self
+                            .keys()
+                            .into_iter()
+                            .map(|k| ((AdId(k / 8), UserId(k % 8)), self.next() as u32))
+                            .collect(),
+                        extensions: self
+                            .keys()
+                            .into_iter()
+                            .map(|u| ExtensionSnapshot {
+                                user: UserId(u),
+                                observations: self.vec(Self::observed),
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+                ledger: self.ledger(),
+            }
+        }
+    }
+
+    mod generated {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any delta frame decodes from its encoding to itself, and
+            /// re-encoding the decoded frame is byte-identical.
+            #[test]
+            fn generated_delta_frames_round_trip(seed in any::<u64>()) {
+                let frame = CheckpointFrame::Delta(Gen(seed).delta());
+                let bytes = frame.to_bytes();
+                let decoded = CheckpointFrame::from_bytes(&bytes);
+                prop_assert_eq!(decoded.as_ref(), Ok(&frame));
+                prop_assert_eq!(frame.to_bytes(), bytes);
+            }
+
+            /// A checkpoint survives its base-frame round trip with its
+            /// state digest, and the decoded state re-encodes to the same
+            /// bytes.
+            #[test]
+            fn generated_checkpoints_keep_their_digest(seed in any::<u64>()) {
+                let cp = Gen(seed).checkpoint();
+                let bytes = cp.to_bytes();
+                let decoded = EngineCheckpoint::from_bytes(&bytes);
+                prop_assert_eq!(decoded.as_ref(), Ok(&cp));
+                prop_assert_eq!(state_digest(&cp), state_digest(decoded.as_ref().unwrap()));
+                prop_assert_eq!(decoded.unwrap().to_bytes(), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn the_tracker_sees_store_mutations_between_frames() {
+        use adplatform::profile::Gender;
+        use adplatform::PlatformConfig;
+        use adsim_types::AttributeId;
+
+        let mut platform = Platform::us_2018(PlatformConfig::facebook_like(5));
+        let member = platform.register_user(30, Gender::Female, "Ohio", "43004");
+        let visitor = platform.register_user(41, Gender::Male, "Texas", "73301");
+        let granted = platform.register_user(25, Gender::Female, "Utah", "84101");
+        let advertiser = platform.register_advertiser("pixel owner");
+        let account = platform.open_account(advertiser).unwrap();
+        let pixel = platform.create_pixel(account, "optin").unwrap();
+        let audience = platform.create_pixel_audience(account, pixel).unwrap();
+        platform
+            .apply_pixel_fire(member, pixel, SimTime(10))
+            .unwrap();
+        let export = |platform: &Platform, ticks: u64| EngineCheckpoint {
+            report: ReportCounters {
+                ticks,
+                ..ReportCounters::default()
+            },
+            platform: platform.export_state(),
+            ..EngineCheckpoint::default()
+        };
+        let base = export(&platform, 1);
+        let mut tracker = DeltaTracker::new(0);
+        tracker.rebase(&base, &platform);
+
+        platform
+            .apply_pixel_fire(visitor, pixel, SimTime(20))
+            .unwrap();
+        platform
+            .apply_pixel_fire(member, pixel, SimTime(30))
+            .unwrap();
+        platform
+            .profiles
+            .grant_attribute(granted, AttributeId(3))
+            .unwrap();
+        platform
+            .profiles
+            .record_zip_visit(granted, "99501")
+            .unwrap();
+        let head = DeltaHead {
+            report: ReportCounters {
+                ticks: 2,
+                ..ReportCounters::default()
+            },
+            ..DeltaHead::default()
+        };
+        let delta = tracker.take_delta(head, &platform, Vec::new());
+        assert_eq!(delta.audience_adds, vec![(audience, vec![visitor])]);
+        assert_eq!(
+            delta.facets.iter().map(|(u, _)| *u).collect::<Vec<_>>(),
+            vec![granted]
+        );
+        assert_eq!(delta.symbols_suffix, vec!["99501".to_string()]);
+        let folded =
+            fold_frames(&[CheckpointFrame::Full(base), CheckpointFrame::Delta(delta)]).unwrap();
+        assert_eq!(folded, export(&platform, 2));
     }
 
     mod strict_decode {

@@ -17,7 +17,9 @@
 //!   which injects a plan's brownouts ahead of the real platform.
 //! * [`codec`] — the hand-rolled canonical binary codec (a
 //!   one-valid-form encoding is what makes "byte-identical checkpoint"
-//!   meaningful).
+//!   meaningful), and the one layout declaration of every type a frame
+//!   carries: its fields listed once, in wire order, drive the encoder,
+//!   the strict decoder and the state digest alike.
 //! * [`checkpoint`] — versioned tick-boundary
 //!   [`checkpoint::EngineCheckpoint`]s: platform state, per-user RNG
 //!   cursors, shard frequency caps, extension logs, and fault accounting,
@@ -67,10 +69,12 @@
 //! match). Every frame carries a set-homomorphic state digest that is
 //! re-derived from the resulting state after the frame is applied — a
 //! base frame when it is decoded, a delta when [`delta::fold_frames`]
-//! folds it — so dirty-set bookkeeping that misses a mutated slot fails
-//! resume loudly instead of resuming subtly wrong. There is exactly one
-//! valid encoding of any state, so "byte-identical checkpoint" is a
-//! meaningful oracle.
+//! folds it — so a frame whose content disagrees with what the delta
+//! tracker hashed fails resume. A dirty key the tracker never saw is
+//! missing from the frame and from its rolling digest alike, so the
+//! digest cannot catch it; the fold-prefix ≡ full-snapshot and resume ≡
+//! uninterrupted oracles do. There is exactly one valid encoding of any
+//! state, so "byte-identical checkpoint" is a meaningful oracle.
 //!
 //! The engine's supervisor (`treads-engine`) consumes the fault plan and
 //! checkpoint types; the provider's retry loop (`treads-core`) consumes

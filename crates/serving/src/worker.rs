@@ -60,7 +60,8 @@ pub(crate) struct Envelope {
 
 /// Everything one shard accumulated over one tick, handed to the applier
 /// at the tick-close barrier. The serving twin of
-/// [`treads_engine::ShardBatch`].
+/// [`treads_engine::ShardBatch`]. The worker accumulates straight into
+/// one and swaps in a fresh one at each tick close.
 pub(crate) struct TickBatch {
     pub shard: usize,
     pub tick_end: u64,
@@ -85,7 +86,9 @@ pub(crate) struct TickBatch {
     pub injected: u64,
     pub recovered: u64,
     pub unrecoverable: u64,
-    pub lost: Vec<LostWork>,
+    /// The tick's abandoned work, if a crash exhausted its retries (at
+    /// most one entry per shard and tick).
+    pub lost: Option<LostWork>,
     /// Causal traces built this tick, in shard-local production order
     /// (the applier re-sorts by request key before retention).
     pub traces: Vec<RequestTrace>,
@@ -111,31 +114,12 @@ pub(crate) struct TraceKey {
     pub user_seq: u64,
 }
 
-/// Tick-local accumulator, reset at every tick-close flush.
-struct TickAcc {
-    events: Vec<ShardEvent>,
-    stats: DeliveryStats,
-    page_views: u64,
-    match_sets: u64,
-    compiled_evals: u64,
-    requests: u64,
-    shed: u64,
-    shed_failure: u64,
-    shed_unknown_user: u64,
-    latency: Histogram,
-    batch_sizes: Histogram,
-    injected: u64,
-    recovered: u64,
-    unrecoverable: u64,
-    lost: Option<LostWork>,
-    traces: Vec<RequestTrace>,
-    trace_keys: Vec<TraceKey>,
-    exemplar: Option<(u64, TraceId)>,
-}
-
-impl TickAcc {
-    fn new() -> Self {
+impl TickBatch {
+    /// An empty batch for `shard`; `tick_end` is stamped at the flush.
+    fn new(shard: usize) -> Self {
         Self {
+            shard,
+            tick_end: 0,
             events: Vec::new(),
             stats: DeliveryStats::default(),
             page_views: 0,
@@ -239,7 +223,8 @@ struct Worker<'a, 'p> {
     /// Failing attempts the fault plan schedules for this tick, consumed
     /// by the first micro-batch that executes.
     crash_pending: Option<u32>,
-    acc: TickAcc,
+    /// The tick being accumulated, handed over at the tick close.
+    acc: TickBatch,
 }
 
 impl<'a, 'p> Worker<'a, 'p> {
@@ -277,7 +262,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             tick_index: 0,
             tick_degraded: false,
             crash_pending: None,
-            acc: TickAcc::new(),
+            acc: TickBatch::new(ctx.shard),
         };
         worker.crash_pending = worker.scheduled_crash();
         worker
@@ -650,30 +635,10 @@ impl<'a, 'p> Worker<'a, 'p> {
     }
 
     fn flush_tick(&mut self, tick_end: u64) -> TickBatch {
-        let mut acc = std::mem::replace(&mut self.acc, TickAcc::new());
+        let mut batch = std::mem::replace(&mut self.acc, TickBatch::new(self.shard));
+        batch.tick_end = tick_end;
         // Stable; sorts (key, index) pairs, not the wide events themselves.
-        acc.events.sort_by_cached_key(ShardEvent::key);
-        TickBatch {
-            shard: self.shard,
-            tick_end,
-            events: acc.events,
-            stats: acc.stats,
-            page_views: acc.page_views,
-            match_sets: acc.match_sets,
-            compiled_evals: acc.compiled_evals,
-            requests: acc.requests,
-            shed: acc.shed,
-            shed_failure: acc.shed_failure,
-            shed_unknown_user: acc.shed_unknown_user,
-            latency: acc.latency,
-            batch_sizes: acc.batch_sizes,
-            injected: acc.injected,
-            recovered: acc.recovered,
-            unrecoverable: acc.unrecoverable,
-            lost: acc.lost.into_iter().collect(),
-            traces: acc.traces,
-            trace_keys: acc.trace_keys,
-            exemplar: acc.exemplar,
-        }
+        batch.events.sort_by_cached_key(ShardEvent::key);
+        batch
     }
 }

@@ -79,6 +79,19 @@ fn run_with_eval(
     options: &ResilienceOptions,
     resume: Resume,
 ) -> RunOutput {
+    run_host(shards, eval, false, options, resume)
+}
+
+/// [`run_with_eval`], optionally adding a third site that embeds the
+/// cohort's opt-in pixel and carries no ad slot: every user who browses
+/// it joins the opt-in audience, so the audience grows during the run.
+fn run_host(
+    shards: usize,
+    eval: EvalMode,
+    optin_site: bool,
+    options: &ResilienceOptions,
+    resume: Resume,
+) -> RunOutput {
     let mut s = CohortScenario::setup(SEED, 60, 30);
     let names: Vec<String> = s
         .platform
@@ -99,6 +112,10 @@ fn run_with_eval(
     let mut sites = SiteRegistry::new();
     sites.create("feed.example", 2);
     sites.create("news.example", 1);
+    if optin_site {
+        let site = sites.create("optin.example", 0);
+        sites.embed_pixel(site, s.optin_pixel);
+    }
 
     let engine = Engine::new(EngineConfig {
         shards,
@@ -626,6 +643,58 @@ fn delta_resume_from_base_plus_two_deltas_is_byte_identical() {
             resumed_full.to_bytes(),
             final_full.to_bytes(),
             "final folded state is byte-identical ({shards} shards)"
+        );
+    }
+}
+
+#[test]
+fn audience_growth_between_frames_folds_and_resumes_byte_identical() {
+    // A site embedding the opt-in pixel grows the opt-in audience on every
+    // tick a new user browses it, so delta frames carry audience adds.
+    // Every prefix of the every-tick delta chain folds to the all-base
+    // run's frame at that tick, and a resume from the base and two deltas
+    // equals the uninterrupted run, at 1, 2 and 8 shards.
+    let delta = ResilienceOptions {
+        checkpoint_every_ticks: 1,
+        delta_base_every: 8,
+        ..ResilienceOptions::default()
+    };
+    let all_base = ResilienceOptions {
+        checkpoint_every_ticks: 1,
+        delta_base_every: 1,
+        ..ResilienceOptions::default()
+    };
+    for shards in [1usize, 2, 8] {
+        let chain = run_host(shards, EvalMode::Compiled, true, &delta, Resume::Cold);
+        assert!(
+            chain.frames.iter().any(|f| matches!(
+                f,
+                CheckpointFrame::Delta(d) if !d.audience_adds.is_empty()
+            )),
+            "some delta carries audience adds ({shards} shards)"
+        );
+        let bases = run_host(shards, EvalMode::Compiled, true, &all_base, Resume::Cold);
+        assert_same_simulation(
+            &chain,
+            &bases,
+            &format!("delta vs all-base, {shards} shards"),
+        );
+        assert_eq!(chain.frames.len(), bases.checkpoint_bytes.len());
+        for (i, bytes) in bases.checkpoint_bytes.iter().enumerate() {
+            let folded = fold_frames(&chain.frames[..=i]).expect("frame chain folds");
+            assert_eq!(&folded.to_bytes(), bytes, "frame {i} ({shards} shards)");
+        }
+        let resumed = run_host(
+            shards,
+            EvalMode::Compiled,
+            true,
+            &delta,
+            Resume::Frames(&chain.frames[..3]),
+        );
+        assert_same_simulation(
+            &chain,
+            &resumed,
+            &format!("resume from base+2 deltas, {shards} shards"),
         );
     }
 }
