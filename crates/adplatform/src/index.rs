@@ -28,13 +28,14 @@
 //! stored as dense **rows**: one bitset over ad slots, in 64-slot words,
 //! per group the key serves, with bit `s` set when the ad at slot `s`
 //! files the key under that group. The form is a fixed rule: a key has
-//! rows exactly while its list holds at least as many postings as its rows
-//! would span words in total (the groups it serves times the words up to
-//! its newest slot). The rule is checked each time the key gets a
-//! posting; a key that falls below it drops its rows. Rows are therefore
-//! never larger than the postings they repeat: they at most double the
-//! index's posting memory, and OR-ing a key's rows never touches more
-//! words than walking its list touches postings.
+//! rows exactly while its list holds more postings than its rows would
+//! span words in total (the groups it serves times the words up to its
+//! newest slot), so a key with one posting never has rows. The rule is
+//! checked each time the key gets a posting; a key that no longer
+//! exceeds it drops its rows. Rows are therefore smaller than the
+//! postings they repeat: they at most double the index's posting memory,
+//! and OR-ing a key's rows touches fewer words than walking its list
+//! touches postings.
 //!
 //! # Candidates by counting
 //!
@@ -221,8 +222,8 @@ struct Row {
 }
 
 /// Everything filed under one key: its postings, and, while the list is
-/// at least as long as its rows would be wide, the same postings as one
-/// row per group the key serves (see the [module docs](self)).
+/// longer than its rows would be wide, the same postings as one row per
+/// group the key serves (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 struct KeyList {
     postings: Vec<Posting>,
@@ -247,7 +248,7 @@ impl KeyList {
         self.postings.push(Posting { slot, group });
         self.groups |= 1 << group;
         let width = (slot as usize / 64 + 1) * self.groups.count_ones() as usize;
-        if self.postings.len() < width {
+        if self.postings.len() <= width {
             // Freed, not cleared: most keys stay short.
             self.rows = Vec::new();
             return;
@@ -591,6 +592,21 @@ mod tests {
                 "Or with {unkeyable:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_key_holds_rows_only_while_its_postings_outnumber_their_words() {
+        let mut key = KeyList::default();
+        key.file(3, 0);
+        assert!(key.rows.is_empty(), "one posting spans one word: no rows");
+        key.file(5, 0);
+        assert_eq!(key.rows.len(), 1, "two postings of one group in one word");
+        assert_eq!(key.rows[0].words, vec![(1 << 3) | (1 << 5)]);
+        key.file(64, 0);
+        assert_eq!(key.rows[0].words, vec![(1 << 3) | (1 << 5), 1]);
+        // A second group at word 1: 4 postings over 2 groups x 2 words.
+        key.file(70, 1);
+        assert!(key.rows.is_empty(), "rows as wide as the list are dropped");
     }
 
     #[test]

@@ -250,6 +250,37 @@ pub fn fold_tick_events(
     fold
 }
 
+/// Registers, at zero, every counter that both run paths — the batch
+/// engine and `treads-serving`'s front end — carry in every snapshot, so
+/// dashboards and the CI snapshot check can require them in a run that
+/// delivers nothing, injects no fault, retains no trace or disables the
+/// ledger. `targeting.compiled_evals` stays zero under
+/// `EvalMode::Tree`, `targeting.match_sets` counts stage-1 builds, and
+/// `targeting.facet_updates` settles to its true value at run end.
+/// Each path adds its own names (`checkpoint.*`, `serving.*`) beside
+/// these.
+pub fn register_run_counters(telemetry: &mut Telemetry) {
+    for name in [
+        "engine.ticks",
+        "engine.page_views",
+        "engine.impressions",
+        "engine.pixel_fires",
+        "faults.injected",
+        "faults.recovered",
+        "faults.unrecoverable",
+        "targeting.compiled_evals",
+        "targeting.match_sets",
+        "targeting.facet_updates",
+        "trace.spans",
+        "trace.sampled",
+        "trace.dropped",
+        "ledger.receipts",
+        "ledger.heads_committed",
+    ] {
+        telemetry.count(name, 0);
+    }
+}
+
 /// The sharded, deterministic parallel simulation engine.
 ///
 /// Execution is bulk-synchronous: each tick freezes a
@@ -308,9 +339,9 @@ impl Engine {
     /// bit-identical platform state; and because shard metric registries
     /// merge by addition in shard-index order, the merged counters and
     /// value histograms are also identical across shard counts (only the
-    /// `*_ns` wall-time histograms vary run to run). The `faults.*`,
-    /// `checkpoint.*` and other catalog counters are registered at zero
-    /// even in a fault-free run.
+    /// `*_ns` wall-time histograms vary run to run). The counters both run
+    /// paths carry ([`register_run_counters`]) and the `checkpoint.*`
+    /// counters are registered at zero even in a fault-free run.
     pub fn run_with_telemetry(
         &self,
         platform: &mut Platform,
@@ -557,29 +588,16 @@ impl Engine {
             .config
             .ledger
             .then(|| ReceiptLedger::commitment_only(seed, self.config.tick_ms));
-        // Fault counters exist (at zero) in every snapshot, so dashboards
-        // and the CI snapshot check can *require* them without a fault.
-        telemetry.count("faults.injected", 0);
-        telemetry.count("faults.recovered", 0);
-        telemetry.count("faults.unrecoverable", 0);
-        telemetry.count("checkpoint.bytes", 0);
-        telemetry.count("checkpoint.delta_bytes", 0);
-        telemetry.count("checkpoint.dirty_slots", 0);
-        // Targeting counters likewise exist at zero in every snapshot:
-        // `compiled_evals` stays zero under `EvalMode::Tree`,
-        // `match_sets` counts stage-1 builds (one per active user per
-        // tick), and `facet_updates` settles to its true value at run end.
-        telemetry.count("targeting.compiled_evals", 0);
-        telemetry.count("targeting.match_sets", 0);
-        telemetry.count("targeting.facet_updates", 0);
-        // Trace counters exist at zero even when no trace is retained.
-        telemetry.count("trace.spans", 0);
-        telemetry.count("trace.sampled", 0);
-        telemetry.count("trace.dropped", 0);
-        // Ledger counters exist at zero so snapshot checks can require
-        // them even in runs that deliver nothing (or disable the ledger).
-        telemetry.count("ledger.receipts", 0);
-        telemetry.count("ledger.heads_committed", 0);
+        // The counters both run paths carry exist at zero from the
+        // start, then the batch engine's own checkpoint counters.
+        register_run_counters(telemetry);
+        for name in [
+            "checkpoint.bytes",
+            "checkpoint.delta_bytes",
+            "checkpoint.dirty_slots",
+        ] {
+            telemetry.count(name, 0);
+        }
 
         let mut tick_start = 0u64;
         if let Some(cp) = resume {

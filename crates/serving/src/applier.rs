@@ -7,8 +7,12 @@
 //! batch supervisor uses. It then refreezes the budget snapshot, hands it
 //! to every blocked worker, judges the tick's latency window against the
 //! SLO, and acks the front end so the simulated clock may advance.
+//!
+//! The applier counts every tick straight into the run's
+//! [`ServingOutcome`]; the front end adds only the requests it shed
+//! itself and the workers' extension logs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use adplatform::billing::BudgetSnapshot;
@@ -19,51 +23,15 @@ use parking_lot::RwLock;
 use treads_engine::{fold_tick_events, merge_batches_lossy, MergeError};
 use treads_resilience::{FaultReport, ReceiptLedger};
 use treads_telemetry::{
-    Histogram, Registry, RequestTrace, SloTracker, Telemetry, TraceEventKind, TraceId,
+    Histogram, Registry, RequestTrace, SloTarget, SloTracker, Telemetry, TraceEventKind, TraceId,
 };
 
+use crate::report::{ServingOutcome, ServingReport};
 use crate::worker::TickBatch;
 
-/// Run totals the applier accumulates across ticks.
-pub(crate) struct ApplierResult {
-    pub ticks: u64,
-    /// Requests the workers answered (served + worker-shed); front-end
-    /// rejections never reach a worker and are counted separately.
-    pub requests: u64,
-    pub shed: u64,
-    pub shed_failure: u64,
-    pub shed_unknown_user: u64,
-    pub page_views: u64,
-    pub opportunities: u64,
-    pub impressions: u64,
-    pub pixel_fires: u64,
-    /// End-to-end latency over every answered request.
-    pub latency: Histogram,
-    pub faults: FaultReport,
-    /// The receipt ledger grown at the fold (`None` when disabled).
-    pub ledger: Option<ReceiptLedger>,
-}
-
-impl ApplierResult {
-    fn new(ledger: Option<ReceiptLedger>) -> Self {
-        Self {
-            ticks: 0,
-            requests: 0,
-            shed: 0,
-            shed_failure: 0,
-            shed_unknown_user: 0,
-            page_views: 0,
-            opportunities: 0,
-            impressions: 0,
-            pixel_fires: 0,
-            latency: Histogram::latency_ns(),
-            faults: FaultReport::default(),
-            ledger,
-        }
-    }
-}
-
-/// Runs the applier loop until the workers disconnect the batch channel.
+/// Runs the applier loop until the workers disconnect the batch channel,
+/// and returns the run's outcome: the workers' tallies, the fold counts,
+/// the SLO verdicts, the fault report and the ledger.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_applier(
     platform: &RwLock<&mut Platform>,
@@ -72,12 +40,21 @@ pub(crate) fn run_applier(
     batch_rx: Receiver<TickBatch>,
     resume_txs: &[Sender<Arc<BudgetSnapshot>>],
     ack_tx: Sender<()>,
-    slo: &mut SloTracker,
+    slo: SloTarget,
     telemetry: &mut Telemetry,
     ledger: Option<ReceiptLedger>,
-) -> ApplierResult {
+) -> ServingOutcome {
     let tracing = telemetry.trace_config().enabled;
-    let mut out = ApplierResult::new(ledger);
+    let mut slo = SloTracker::new(slo);
+    let mut out = ServingOutcome {
+        report: ServingReport {
+            shards: shards as u64,
+            ..ServingReport::default()
+        },
+        extensions: BTreeMap::new(),
+        faults: FaultReport::default(),
+        ledger,
+    };
     // Campaigns already journaled crossing their budget (for the
     // once-per-campaign `BudgetExhausted` flight event).
     let mut exhausted: BTreeSet<CampaignId> = BTreeSet::new();
@@ -133,11 +110,11 @@ pub(crate) fn run_applier(
                 &mut exhausted,
                 out.ledger.as_mut(),
             );
-            out.impressions += fold.impressions;
-            out.pixel_fires += fold.pixel_fires;
+            out.report.impressions += fold.impressions;
+            out.report.pixel_fires += fold.pixel_fires;
             (Arc::new(p.billing.budget_snapshot()), conflicts)
         };
-        out.ticks += 1;
+        out.report.ticks += 1;
         for tx in resume_txs {
             let _ = tx.send(snapshot.clone());
         }
@@ -153,12 +130,14 @@ pub(crate) fn run_applier(
             if let Some((worst_ns, trace_id)) = batch.exemplar.take() {
                 telemetry.exemplar("serving.request_latency_ns", worst_ns, trace_id);
             }
-            out.requests += batch.requests;
-            out.shed += batch.shed;
-            out.shed_failure += batch.shed_failure;
-            out.shed_unknown_user += batch.shed_unknown_user;
-            out.page_views += batch.page_views;
-            out.opportunities += batch.stats.opportunities;
+            let r = &mut out.report;
+            r.requests += batch.requests;
+            r.served += batch.requests - batch.shed;
+            r.shed += batch.shed;
+            r.shed_failure += batch.shed_failure;
+            r.shed_unknown_user += batch.shed_unknown_user;
+            r.page_views += batch.page_views;
+            r.opportunities += batch.stats.opportunities;
             out.faults.injected += batch.injected;
             out.faults.recovered += batch.recovered;
             out.faults.unrecoverable += batch.unrecoverable;
@@ -183,7 +162,7 @@ pub(crate) fn run_applier(
             reg.merge_histogram("serving.request_latency_ns", &tick_latency);
         }
         telemetry.merge_registry(&reg);
-        out.latency.merge(&tick_latency);
+        out.report.latency.merge(&tick_latency);
         if slo.observe_window(&tick_latency) {
             telemetry.count("serving.slo_breach", 1);
             // Tail-based retention: the whole breaching window is
@@ -222,6 +201,8 @@ pub(crate) fn run_applier(
         // accounted (workers were released right after the fold above).
         let _ = ack_tx.send(());
     }
+    out.report.slo_windows = slo.windows();
+    out.report.slo_breaches = slo.breaches();
     out
 }
 

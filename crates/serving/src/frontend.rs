@@ -1,6 +1,6 @@
 //! The request-driven front end and its orchestration.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -8,11 +8,9 @@ use std::time::Instant;
 use adplatform::Platform;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use treads_engine::ResilienceOptions;
+use treads_engine::{register_run_counters, ResilienceOptions};
 use treads_resilience::{FaultPlan, ReceiptLedger};
-use treads_telemetry::{
-    RequestTrace, SloTracker, Telemetry, TraceConfig, TraceEventKind, TraceId, SHED_SEQ,
-};
+use treads_telemetry::{RequestTrace, Telemetry, TraceConfig, TraceId};
 use treads_workload::ShardPlan;
 use websim::SiteRegistry;
 
@@ -21,7 +19,7 @@ use adsim_types::UserId;
 use crate::admission::{Admission, AdmissionController};
 use crate::applier::run_applier;
 use crate::config::ServingConfig;
-use crate::report::{ServingOutcome, ServingReport};
+use crate::report::ServingOutcome;
 use crate::request::{OpportunityRequest, RejectReason, Response, Ticket};
 use crate::worker::{run_worker, Envelope, WorkerContext, WorkerMsg, WorkerResult};
 
@@ -50,8 +48,8 @@ pub struct Frontend {
     worker_txs: Vec<Sender<WorkerMsg>>,
     ack_rx: Receiver<()>,
     depths: Vec<Arc<AtomicU64>>,
+    /// Submissions so far; also the brownout call index.
     calls: AtomicU64,
-    submitted: AtomicU64,
     shed_overload: AtomicU64,
     shed_brownout: AtomicU64,
     shed_after_horizon: AtomicU64,
@@ -59,21 +57,6 @@ pub struct Frontend {
     /// Tail traces for requests shed before reaching a worker (brownout,
     /// after-horizon, overload); offered to telemetry when the run ends.
     shed_traces: Mutex<Vec<RequestTrace>>,
-}
-
-/// Front-end-side request tallies (requests that never reached a worker).
-struct FrontTallies {
-    submitted: u64,
-    shed_overload: u64,
-    shed_brownout: u64,
-    shed_after_horizon: u64,
-    shed_failure: u64,
-}
-
-impl FrontTallies {
-    fn shed(&self) -> u64 {
-        self.shed_overload + self.shed_brownout + self.shed_after_horizon + self.shed_failure
-    }
 }
 
 impl Frontend {
@@ -86,7 +69,6 @@ impl Frontend {
     /// blocking inside `submit` is the tick-close barrier when this
     /// request's timestamp opens a new tick.
     pub fn submit(&self, req: OpportunityRequest) -> Ticket {
-        self.submitted.fetch_add(1, Ordering::SeqCst);
         // Brownouts reject by global call index — deterministic under any
         // thread interleaving of a single-threaded client, and exactly the
         // semantics of the batch-side FlakyPlatform wrapper.
@@ -96,7 +78,7 @@ impl Frontend {
             // Brownouts are keyed by call index: `at`/`user` would collide
             // for retries of the same opportunity, and the call index is
             // the deterministic quantity the fault plan itself consults.
-            self.record_shed(TraceId::from_call(self.seed, call), &req, "brownout");
+            self.record_shed(TraceId::from_call(self.seed, call), req, "brownout");
             return Ticket::ready(Response::Rejected {
                 reason: RejectReason::Brownout,
                 retry_after_ms: self.retry_after_ms,
@@ -105,7 +87,7 @@ impl Frontend {
         let mut clock = self.clock.lock();
         if req.at.0 >= self.horizon_ms {
             self.shed_after_horizon.fetch_add(1, Ordering::SeqCst);
-            self.record_shed(self.shed_trace_id(&req), &req, "after_horizon");
+            self.record_shed(req.shed_trace_id(self.seed), req, "after_horizon");
             return Ticket::ready(Response::Rejected {
                 reason: RejectReason::AfterHorizon,
                 retry_after_ms: 0,
@@ -119,7 +101,7 @@ impl Frontend {
         match self.admission.decide(depth) {
             Admission::Shed { retry_after_ms } => {
                 self.shed_overload.fetch_add(1, Ordering::SeqCst);
-                self.record_shed(self.shed_trace_id(&req), &req, "overload");
+                self.record_shed(req.shed_trace_id(self.seed), req, "overload");
                 Ticket::ready(Response::Rejected {
                     reason: RejectReason::Overload,
                     retry_after_ms,
@@ -140,7 +122,7 @@ impl Frontend {
                     // The worker is gone; release the slot and degrade.
                     self.depths[shard].fetch_sub(1, Ordering::SeqCst);
                     self.shed_failure.fetch_add(1, Ordering::SeqCst);
-                    self.record_shed(self.shed_trace_id(&req), &req, "shard_failure");
+                    self.record_shed(req.shed_trace_id(self.seed), req, "shard_failure");
                     return Ticket::ready(Response::Rejected {
                         reason: RejectReason::ShardFailure,
                         retry_after_ms: self.retry_after_ms,
@@ -151,22 +133,11 @@ impl Frontend {
         }
     }
 
-    /// The trace id for a request shed before its page view could begin:
-    /// the request never consumed a user sequence number, so the shed
-    /// stand-in seq keys it.
-    fn shed_trace_id(&self, req: &OpportunityRequest) -> TraceId {
-        TraceId::from_key(self.seed, req.at, req.user.raw(), SHED_SEQ)
-    }
-
     /// Records an always-retained tail trace for a front-end shed.
-    fn record_shed(&self, id: TraceId, req: &OpportunityRequest, reason: &'static str) {
-        if !self.trace.enabled {
-            return;
+    fn record_shed(&self, id: TraceId, req: OpportunityRequest, reason: &'static str) {
+        if self.trace.enabled {
+            self.shed_traces.lock().push(req.shed_trace(id, reason).0);
         }
-        let mut t = RequestTrace::tail(id, req.at, req.user.raw(), SHED_SEQ);
-        let span = t.span("request", None, req.at);
-        t.event(span, TraceEventKind::Shed { reason });
-        self.shed_traces.lock().push(t);
     }
 
     /// The number of requests currently in flight to `user`'s shard —
@@ -202,16 +173,6 @@ impl Frontend {
         }
         for tx in &self.worker_txs {
             let _ = tx.send(WorkerMsg::Shutdown);
-        }
-    }
-
-    fn tallies(&self) -> FrontTallies {
-        FrontTallies {
-            submitted: self.submitted.load(Ordering::SeqCst),
-            shed_overload: self.shed_overload.load(Ordering::SeqCst),
-            shed_brownout: self.shed_brownout.load(Ordering::SeqCst),
-            shed_after_horizon: self.shed_after_horizon.load(Ordering::SeqCst),
-            shed_failure: self.shed_failure.load(Ordering::SeqCst),
         }
     }
 }
@@ -285,29 +246,18 @@ impl ServingEngine {
         // telemetry itself is off (tracing can then cost nothing).
         telemetry.set_trace_config(cfg.trace);
         let trace = telemetry.trace_config();
-        // Every counter a serving snapshot is contractually required to
-        // carry exists from the first tick, at zero (mirrors `run_core`).
-        telemetry.count("serving.requests", 0);
-        telemetry.count("serving.shed", 0);
-        telemetry.count("serving.slo_breach", 0);
-        telemetry.count("serving.merge_conflicts", 0);
-        telemetry.count("trace.spans", 0);
-        telemetry.count("trace.sampled", 0);
-        telemetry.count("trace.dropped", 0);
-        telemetry.count("engine.page_views", 0);
-        telemetry.count("engine.impressions", 0);
-        telemetry.count("engine.pixel_fires", 0);
-        telemetry.count("engine.ticks", 0);
-        telemetry.count("faults.injected", 0);
-        telemetry.count("faults.recovered", 0);
-        telemetry.count("faults.unrecoverable", 0);
-        telemetry.count("targeting.compiled_evals", 0);
-        telemetry.count("targeting.match_sets", 0);
-        telemetry.count("targeting.facet_updates", 0);
-        telemetry.count("ledger.receipts", 0);
-        // A serving run takes no checkpoints, so heads are never
-        // committed here; the counter still exists for snapshot checks.
-        telemetry.count("ledger.heads_committed", 0);
+        // Every counter a serving snapshot must carry exists from the
+        // first tick, at zero: the ones the batch engine carries too, then
+        // serving's own.
+        register_run_counters(telemetry);
+        for name in [
+            "serving.requests",
+            "serving.shed",
+            "serving.slo_breach",
+            "serving.merge_conflicts",
+        ] {
+            telemetry.count(name, 0);
+        }
 
         // The applier (the single writer) owns the receipt ledger, so
         // receipts append in the same canonical fold order as the batch
@@ -319,7 +269,6 @@ impl ServingEngine {
             .then(|| ReceiptLedger::commitment_only(cfg.seed, cfg.tick_ms));
 
         let initial_budget = Arc::new(platform.billing.budget_snapshot());
-        let mut slo = SloTracker::new(cfg.slo);
         let lock = RwLock::new(platform);
 
         let (batch_tx, batch_rx) = channel::unbounded();
@@ -352,7 +301,6 @@ impl ServingEngine {
             ack_rx,
             depths: depths.clone(),
             calls: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
             shed_overload: AtomicU64::new(0),
             shed_brownout: AtomicU64::new(0),
             shed_after_horizon: AtomicU64::new(0),
@@ -361,9 +309,8 @@ impl ServingEngine {
         };
 
         let lock_ref = &lock;
-        let slo_ref = &mut slo;
         let telemetry_ref = &mut *telemetry;
-        let (applier_out, worker_results, client_out) = crossbeam::scope(|s| {
+        let (mut outcome, worker_results, client_out) = crossbeam::scope(|s| {
             let worker_handles: Vec<_> = worker_rxs
                 .into_iter()
                 .zip(resume_rxs)
@@ -402,7 +349,7 @@ impl ServingEngine {
                     batch_rx,
                     &resume_txs,
                     ack_tx,
-                    slo_ref,
+                    cfg.slo,
                     telemetry_ref,
                     ledger,
                 )
@@ -413,22 +360,38 @@ impl ServingEngine {
                 .into_iter()
                 .map(|h| h.join().expect("serving worker panicked"))
                 .collect();
-            let applier_out = applier_handle.join().expect("serving applier panicked");
-            (applier_out, worker_results, client_out)
+            let outcome = applier_handle.join().expect("serving applier panicked");
+            (outcome, worker_results, client_out)
         })
         .expect("serving scope");
 
         let platform: &mut Platform = lock.into_inner();
         telemetry.count("targeting.facet_updates", platform.profiles.facet_updates());
 
-        let front = frontend.tallies();
-        // Front-end rejections join the request/shed totals so
-        // `requests == served + shed` holds across both layers.
-        telemetry.count("serving.requests", front.shed());
-        telemetry.count("serving.shed", front.shed());
+        // Front-end rejections never reach a worker: they join the
+        // request and shed totals here, so `requests == served + shed`
+        // holds across both layers.
+        let r = &mut outcome.report;
+        r.shed_overload = frontend.shed_overload.into_inner();
+        r.shed_brownout = frontend.shed_brownout.into_inner();
+        r.shed_after_horizon = frontend.shed_after_horizon.into_inner();
+        let shed_failure = frontend.shed_failure.into_inner();
+        r.shed_failure += shed_failure;
+        let shed = r.shed_overload + r.shed_brownout + r.shed_after_horizon + shed_failure;
+        r.requests += shed;
+        r.shed += shed;
+        telemetry.count("serving.requests", shed);
+        telemetry.count("serving.shed", shed);
         // A browned-out submission is one injected fault activation, like
         // one failing call through the batch-side FlakyPlatform.
-        telemetry.count("faults.injected", front.shed_brownout);
+        telemetry.count("faults.injected", r.shed_brownout);
+        outcome.faults.injected += r.shed_brownout;
+        debug_assert_eq!(
+            r.requests,
+            frontend.calls.into_inner(),
+            "every submission accounted"
+        );
+        debug_assert_eq!(r.requests, r.served + r.shed);
         // Front-end sheds are tail traces too: offered last, in canonical
         // key order, all always-retained.
         let mut shed_traces = frontend.shed_traces.into_inner();
@@ -436,47 +399,10 @@ impl ServingEngine {
         for t in shed_traces {
             telemetry.offer_trace(t);
         }
-
-        let mut extensions = BTreeMap::new();
         for result in worker_results {
-            extensions.extend(result.extensions);
+            outcome.extensions.extend(result.extensions);
         }
-        let mut faults = applier_out.faults;
-        faults.injected += front.shed_brownout;
-
-        let report = ServingReport {
-            shards: shards as u64,
-            ticks: applier_out.ticks,
-            requests: applier_out.requests + front.shed(),
-            served: applier_out.requests - applier_out.shed,
-            shed: applier_out.shed + front.shed(),
-            shed_overload: front.shed_overload,
-            shed_brownout: front.shed_brownout,
-            shed_failure: applier_out.shed_failure + front.shed_failure,
-            shed_unknown_user: applier_out.shed_unknown_user,
-            shed_after_horizon: front.shed_after_horizon,
-            page_views: applier_out.page_views,
-            opportunities: applier_out.opportunities,
-            impressions: applier_out.impressions,
-            pixel_fires: applier_out.pixel_fires,
-            slo_windows: slo.windows(),
-            slo_breaches: slo.breaches(),
-            latency: applier_out.latency,
-        };
-        debug_assert_eq!(
-            report.requests, front.submitted,
-            "every submission accounted"
-        );
-        debug_assert_eq!(report.requests, report.served + report.shed);
-        (
-            ServingOutcome {
-                report,
-                extensions,
-                faults,
-                ledger: applier_out.ledger,
-            },
-            client_out,
-        )
+        (outcome, client_out)
     }
 }
 
@@ -745,48 +671,76 @@ mod tests {
         assert_eq!(outcome.report.served, 1);
     }
 
-    /// A recoverable crash replays part of the tick's first micro-batch
-    /// against real state and rolls it back, so the targeting counters a
-    /// worker hands the applier equal a fault-free run's.
+    /// A recoverable crash replays a growing prefix of the tick's first
+    /// micro-batch against real state, once per failing attempt, and rolls
+    /// the worker back before the next try. Every output but the fault
+    /// tally equals a fault-free run's, with single- and multi-request
+    /// micro-batches and every request traced.
     #[test]
-    fn crash_replays_roll_back_their_targeting_counts() {
-        let counts = |faults: FaultPlan| {
+    fn crash_replays_roll_back_everything_but_the_fault_counts() {
+        let run = |max_batch: usize, faults: FaultPlan| {
             let (mut p, sites, users) = scenario(4);
             let options = ResilienceOptions {
                 faults,
                 ..ResilienceOptions::default()
             };
+            let engine = ServingEngine::new(ServingConfig {
+                max_batch,
+                trace: TraceConfig::full(),
+                // Wall-clock latency must not decide an SLO breach here.
+                slo: treads_telemetry::SloTarget::p99_ms(3_600_000),
+                ..config(2)
+            });
             let mut telemetry = Telemetry::new();
             let site_ids = sites.ids();
-            let (outcome, ()) = ServingEngine::new(config(2)).serve_with_telemetry(
+            let extension_users: BTreeSet<UserId> = users.iter().copied().collect();
+            let (mut outcome, ()) = engine.serve_with_telemetry(
                 &mut p,
                 &sites,
-                &BTreeSet::new(),
+                &extension_users,
                 &options,
                 &mut telemetry,
                 |frontend| {
+                    let mut tickets = Vec::new();
                     for (i, &user) in users.iter().enumerate() {
                         for (j, &site) in site_ids.iter().enumerate() {
                             let at = SimTime(1_000 * (i as u64 * 10 + j as u64));
-                            let response = frontend
-                                .submit(OpportunityRequest { user, site, at })
-                                .wait();
-                            assert!(response.is_served());
+                            tickets.push(frontend.submit(OpportunityRequest { user, site, at }));
                         }
                     }
+                    assert!(tickets.into_iter().all(|t| t.wait().is_served()));
                 },
             );
-            let m = telemetry.metrics();
-            (
-                outcome.faults.recovered,
-                m.counter("targeting.compiled_evals"),
-                m.counter("targeting.match_sets"),
-            )
+            outcome.report.latency = treads_telemetry::Histogram::latency_ns();
+            let counters: Vec<_> = telemetry
+                .metrics()
+                .counters()
+                .iter()
+                .filter(|(name, _)| !name.starts_with("faults."))
+                .map(|(&name, &n)| (name, n))
+                .collect();
+            let traces: Vec<TraceId> = telemetry.traces().iter().map(|t| t.id).collect();
+            (outcome, counters, traces, p.log.all().to_vec())
         };
-        let (_, evals, sets) = counts(FaultPlan::new());
-        assert!(evals > 0 && sets > 0, "every slot runs a compiled program");
-        // Shard 0's first micro-batch dies twice, then succeeds.
-        let crashed = counts(FaultPlan::new().crash_shard(0, 0, 2));
-        assert_eq!(crashed, (1, evals, sets));
+        for max_batch in [1, 4] {
+            let (clean, counters, traces, log) = run(max_batch, FaultPlan::new());
+            assert!(!traces.is_empty() && !log.is_empty());
+            let counter = |name: &str| counters.iter().find(|c| c.0 == name).map_or(0, |c| c.1);
+            assert!(
+                counter("targeting.compiled_evals") > 0 && counter("targeting.match_sets") > 0,
+                "every slot runs a compiled program"
+            );
+            // Shard 0's first micro-batch dies twice, then succeeds.
+            let crashed = run(max_batch, FaultPlan::new().crash_shard(0, 0, 2));
+            assert_eq!(
+                (crashed.0.faults.injected, crashed.0.faults.recovered),
+                (2, 1)
+            );
+            assert_eq!(crashed.0.report, clean.report, "max_batch {max_batch}");
+            assert_eq!(crashed.1, counters, "max_batch {max_batch}");
+            assert_eq!(crashed.2, traces, "max_batch {max_batch}");
+            assert_eq!(crashed.3, log, "max_batch {max_batch}");
+            assert_eq!(crashed.0.extensions, clean.extensions);
+        }
     }
 }

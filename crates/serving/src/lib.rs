@@ -40,9 +40,13 @@
 //!
 //! A [`treads_engine::ResilienceOptions`] fault plan degrades serving
 //! instead of killing it: a scheduled shard crash strikes the first
-//! micro-batch of its tick and is re-executed from a batch-start snapshot
-//! within the retry budget (byte-identical recovery); beyond the budget
-//! the whole shard tick sheds with retry-after and exact
+//! micro-batch of its tick. Within the retry budget each failing attempt
+//! replays part of the batch, and the worker then restores its whole
+//! decide state — users, decider and the tick's accumulator — from one
+//! clone taken at batch start, as the batch supervisor restores a
+//! `ShardState`. Recovery is byte-identical: every output but the fault
+//! counts equals a fault-free run's. Beyond the budget the whole shard
+//! tick sheds with retry-after and exact
 //! [`treads_resilience::LostWork`] accounting — shed requests are never
 //! billed. API brownouts reject deterministically by request index.
 

@@ -2,6 +2,7 @@
 
 use adsim_types::{AdId, SimTime, SiteId, UserId};
 use crossbeam::channel::Receiver;
+use treads_telemetry::{RequestTrace, TraceEventKind, TraceId, SHED_SEQ};
 
 /// One impression opportunity: a user loading a site at a simulated
 /// instant. The serving-side twin of one
@@ -16,6 +17,24 @@ pub struct OpportunityRequest {
     /// Simulated instant of the page view. Must be non-decreasing across
     /// `submit` calls — the serving clock only moves forward.
     pub at: SimTime,
+}
+
+impl OpportunityRequest {
+    /// The trace id of this request when it is shed before its page view
+    /// begins: it never consumed a user sequence number, so the shed
+    /// stand-in seq keys it.
+    pub(crate) fn shed_trace_id(&self, seed: u64) -> TraceId {
+        TraceId::from_key(seed, self.at, self.user.raw(), SHED_SEQ)
+    }
+
+    /// The always-retained tail trace of this request, shed for `reason`,
+    /// and its `request` root span for any further events.
+    pub(crate) fn shed_trace(&self, id: TraceId, reason: &'static str) -> (RequestTrace, usize) {
+        let mut t = RequestTrace::tail(id, self.at, self.user.raw(), SHED_SEQ);
+        let span = t.span("request", None, self.at);
+        t.event(span, TraceEventKind::Shed { reason });
+        (t, span)
+    }
 }
 
 /// The served side of a [`Response`]: the ads chosen for the page.

@@ -11,6 +11,14 @@
 //! is byte-identical to the batch engine's for the same opportunities.
 //! The worker adds only what serving needs: the `request` root span,
 //! span wall times, and the response's ad list.
+//!
+//! A scheduled crash strikes the tick's first micro-batch. Each failing
+//! attempt runs a prefix of the batch against the worker's real state,
+//! and the worker then takes back its whole decide state — users,
+//! decider and the tick's accumulator — from one clone made at batch
+//! start, as the batch supervisor restores a cloned `ShardState`. Nothing
+//! an attempt touched survives it, so a recovered tick hands the applier
+//! the fault-free batch plus its fault counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,14 +26,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adplatform::billing::BudgetSnapshot;
-use adplatform::delivery::{DeliveryStats, FrequencyCaps};
+use adplatform::delivery::DeliveryStats;
 use adplatform::Platform;
 use adsim_types::{SimTime, UserId};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use treads_engine::{PageView, ShardEvent, SlotStep, ViewDecider, Viewer};
 use treads_resilience::{FaultPlan, LostWork};
-use treads_telemetry::{Histogram, RequestTrace, TraceConfig, TraceEventKind, TraceId, SHED_SEQ};
+use treads_telemetry::{Histogram, RequestTrace, TraceConfig, TraceEventKind, TraceId};
 use treads_workload::ShardPlan;
 use websim::{ExtensionLog, SiteRegistry};
 
@@ -62,6 +70,7 @@ pub(crate) struct Envelope {
 /// at the tick-close barrier. The serving twin of
 /// [`treads_engine::ShardBatch`]. The worker accumulates straight into
 /// one and swaps in a fresh one at each tick close.
+#[derive(Clone)]
 pub(crate) struct TickBatch {
     pub shard: usize,
     pub tick_end: u64,
@@ -140,23 +149,6 @@ impl TickBatch {
             exemplar: None,
         }
     }
-}
-
-/// The user-owned state a crash attempt may half-mutate, frozen at
-/// micro-batch start so failing attempts can be rolled back byte-exactly.
-struct BatchSnapshot {
-    users: BTreeMap<UserId, Viewer>,
-    freq: FrequencyCaps,
-    extensions: BTreeMap<UserId, ExtensionLog>,
-    events_len: usize,
-    stats: DeliveryStats,
-    page_views: u64,
-    match_sets: u64,
-    compiled_evals: u64,
-    /// Traces, like events, are truncated back to the snapshot length
-    /// when a crash attempt rolls back.
-    traces_len: usize,
-    trace_keys_len: usize,
 }
 
 /// Everything a worker thread needs, bundled for the spawn call.
@@ -342,7 +334,7 @@ impl<'a, 'p> Worker<'a, 'p> {
         if batch.is_empty() {
             return;
         }
-        // Count requests before any crash handling: a restored snapshot
+        // Count requests before any crash handling: the replay's restore
         // must not forget that these requests arrived.
         self.acc.requests += batch.len() as u64;
         self.acc.batch_sizes.observe(batch.len() as u64);
@@ -362,9 +354,10 @@ impl<'a, 'p> Worker<'a, 'p> {
             }
             // Recoverable: each failing attempt executes a prefix of the
             // batch against real state — dying one request deeper each
-            // time, the most hostile partial mutation — and is rolled
-            // back to the batch-start snapshot before the next try.
-            let snapshot = self.snapshot();
+            // time, the most hostile partial mutation — and then the
+            // worker's whole decide state is restored from a batch-start
+            // clone, as the batch supervisor restores a `ShardState`.
+            let start = (self.users.clone(), self.decider.clone(), self.acc.clone());
             {
                 let guard = self.platform.read();
                 let platform: &Platform = &guard;
@@ -373,10 +366,11 @@ impl<'a, 'p> Worker<'a, 'p> {
                     for env in &batch[..prefix] {
                         self.serve_one(platform, env, false);
                     }
-                    self.restore(&snapshot);
-                    self.acc.injected += 1;
+                    (self.users, self.decider, self.acc) = start.clone();
                 }
             }
+            // Counted after the loop: each restore resets the accumulator.
+            self.acc.injected += u64::from(attempts);
             self.acc.recovered += 1;
         }
         let guard = self.platform.read();
@@ -401,17 +395,8 @@ impl<'a, 'p> Worker<'a, 'p> {
                 self.acc.shed_unknown_user += 1;
                 let mut trace_id = TraceId(0);
                 if tracing {
-                    // The user never earned a sequence counter, so the
-                    // shed stand-in seq keys the (always-retained) trace.
-                    trace_id = TraceId::from_key(self.seed, req.at, req.user.raw(), SHED_SEQ);
-                    let mut t = RequestTrace::tail(trace_id, req.at, req.user.raw(), SHED_SEQ);
-                    let span = t.span("request", None, req.at);
-                    t.event(
-                        span,
-                        TraceEventKind::Shed {
-                            reason: "unknown_user",
-                        },
-                    );
+                    trace_id = req.shed_trace_id(self.seed);
+                    let (mut t, span) = req.shed_trace(trace_id, "unknown_user");
                     t.set_span_wall(span, 0, env.accepted.elapsed().as_nanos() as u64);
                     self.acc.traces.push(t);
                 }
@@ -560,18 +545,8 @@ impl<'a, 'p> Worker<'a, 'p> {
             }
             let mut trace_id = TraceId(0);
             if self.trace.enabled {
-                // Fault-degraded requests never reach the decide path, so
-                // the user's sequence counter is unknowable here; the shed
-                // stand-in seq keys the (always-retained) trace.
-                trace_id = TraceId::from_key(self.seed, env.req.at, env.req.user.raw(), SHED_SEQ);
-                let mut t = RequestTrace::tail(trace_id, env.req.at, env.req.user.raw(), SHED_SEQ);
-                let span = t.span("request", None, env.req.at);
-                t.event(
-                    span,
-                    TraceEventKind::Shed {
-                        reason: "shard_failure",
-                    },
-                );
+                trace_id = env.req.shed_trace_id(self.seed);
+                let (mut t, span) = env.req.shed_trace(trace_id, "shard_failure");
                 t.event(
                     span,
                     TraceEventKind::FaultDegraded {
@@ -604,34 +579,6 @@ impl<'a, 'p> Worker<'a, 'p> {
         // A dropped ticket (client gave up) is not an error.
         let _ = env.reply.send(response);
         self.depth.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn snapshot(&self) -> BatchSnapshot {
-        BatchSnapshot {
-            users: self.users.clone(),
-            freq: self.decider.freq.clone(),
-            extensions: self.decider.extensions.clone(),
-            events_len: self.acc.events.len(),
-            stats: self.acc.stats,
-            page_views: self.acc.page_views,
-            match_sets: self.acc.match_sets,
-            compiled_evals: self.acc.compiled_evals,
-            traces_len: self.acc.traces.len(),
-            trace_keys_len: self.acc.trace_keys.len(),
-        }
-    }
-
-    fn restore(&mut self, snapshot: &BatchSnapshot) {
-        self.users = snapshot.users.clone();
-        self.decider.freq = snapshot.freq.clone();
-        self.decider.extensions = snapshot.extensions.clone();
-        self.acc.events.truncate(snapshot.events_len);
-        self.acc.stats = snapshot.stats;
-        self.acc.page_views = snapshot.page_views;
-        self.acc.match_sets = snapshot.match_sets;
-        self.acc.compiled_evals = snapshot.compiled_evals;
-        self.acc.traces.truncate(snapshot.traces_len);
-        self.acc.trace_keys.truncate(snapshot.trace_keys_len);
     }
 
     fn flush_tick(&mut self, tick_end: u64) -> TickBatch {

@@ -72,8 +72,6 @@ pub struct DriveReport {
     pub pixel_fires: u64,
     /// Ad impressions delivered (auctions won by advertiser ads).
     pub impressions: u64,
-    /// Ad clicks simulated (only by [`SessionSchedule::drive_with_clicks`]).
-    pub clicks: u64,
 }
 
 /// A time-sorted browsing workload.
@@ -191,30 +189,6 @@ impl SessionSchedule {
         sites: &SiteRegistry,
         extensions: &mut BTreeMap<UserId, ExtensionLog>,
     ) -> DriveReport {
-        self.drive_with_clicks(
-            platform,
-            sites,
-            extensions,
-            0.0,
-            &mut |_, _, _| {},
-            &mut NoRng,
-        )
-    }
-
-    /// Like [`SessionSchedule::drive`], but each delivered impression is
-    /// clicked with probability `ctr`; `on_click(user, ad, creative)`
-    /// fires for every click so the caller can route it (fetch the landing
-    /// page, record it in an advertiser's
-    /// [`adplatform::clicks::ClickLog`], …).
-    pub fn drive_with_clicks<R: rand::Rng + ?Sized>(
-        &self,
-        platform: &mut Platform,
-        sites: &SiteRegistry,
-        extensions: &mut BTreeMap<UserId, ExtensionLog>,
-        ctr: f64,
-        on_click: &mut impl FnMut(UserId, adsim_types::AdId, &adplatform::campaign::AdCreative),
-        rng: &mut R,
-    ) -> DriveReport {
         let mut report = DriveReport::default();
         for event in &self.events {
             let BrowsingEvent::PageView { user, site, at } = *event;
@@ -234,42 +208,14 @@ impl SessionSchedule {
             for _ in 0..site.ad_slots_per_view {
                 if let Ok(AuctionOutcome::Won { ad, .. }) = platform.browse(user) {
                     report.impressions += 1;
-                    let creative = platform
-                        .campaigns
-                        .ad(ad)
-                        .expect("won ad exists")
-                        .creative
-                        .clone();
                     if let Some(log) = extensions.get_mut(&user) {
-                        log.observe(ad, creative.clone(), at);
-                    }
-                    if ctr > 0.0 && rng.gen::<f64>() < ctr {
-                        report.clicks += 1;
-                        on_click(user, ad, &creative);
+                        let ad_row = platform.campaigns.ad(ad).expect("won ad exists");
+                        log.observe(ad, ad_row.creative.clone(), at);
                     }
                 }
             }
         }
         report
-    }
-}
-
-/// RNG stand-in for the clickless [`SessionSchedule::drive`] path; never
-/// actually sampled because `ctr == 0.0` short-circuits.
-struct NoRng;
-
-impl rand::RngCore for NoRng {
-    fn next_u32(&mut self) -> u32 {
-        unreachable!("NoRng is never sampled (ctr == 0)")
-    }
-    fn next_u64(&mut self) -> u64 {
-        unreachable!("NoRng is never sampled (ctr == 0)")
-    }
-    fn fill_bytes(&mut self, _dest: &mut [u8]) {
-        unreachable!("NoRng is never sampled (ctr == 0)")
-    }
-    fn try_fill_bytes(&mut self, _dest: &mut [u8]) -> Result<(), rand::Error> {
-        unreachable!("NoRng is never sampled (ctr == 0)")
     }
 }
 
@@ -488,58 +434,6 @@ mod tests {
         assert_eq!(report.pixel_fires, 1);
         assert_eq!(report.impressions, 0);
         assert!(p.audiences.get(audience).expect("aud").contains(user));
-    }
-
-    #[test]
-    fn drive_with_clicks_fires_the_callback() {
-        let mut p = platform();
-        let adv = p.register_advertiser("adv");
-        let acct = p.open_account(adv).expect("account");
-        let user = p.register_user(30, Gender::Female, "Ohio", "43004");
-        let camp = p
-            .create_campaign(acct, "c", Money::dollars(10), None)
-            .expect("campaign");
-        let ad = p
-            .submit_ad(
-                camp,
-                AdCreative::text("Hello", "World").with_landing("https://adv.example/x"),
-                TargetingSpec::including(TargetingExpr::Everyone),
-            )
-            .expect("ad");
-        let mut sites = SiteRegistry::new();
-        let feed = sites.create("feed.example", 1);
-        let schedule = SessionSchedule::from_events(
-            (0..20)
-                .map(|i| BrowsingEvent::PageView {
-                    user,
-                    site: feed,
-                    at: SimTime(i * 100),
-                })
-                .collect(),
-        );
-        let mut extensions = BTreeMap::new();
-        let mut clicked = Vec::new();
-        let mut rng = substream(5, "ctr");
-        let report = schedule.drive_with_clicks(
-            &mut p,
-            &sites,
-            &mut extensions,
-            1.0, // always click
-            &mut |u, a, creative| {
-                assert_eq!(a, ad);
-                assert_eq!(
-                    creative.landing_url.as_deref(),
-                    Some("https://adv.example/x")
-                );
-                clicked.push(u);
-            },
-            &mut rng,
-        );
-        assert_eq!(report.clicks, report.impressions);
-        assert_eq!(clicked.len() as u64, report.clicks);
-        // ctr 0 never clicks and never samples the RNG.
-        let report = schedule.drive(&mut p, &sites, &mut extensions);
-        assert_eq!(report.clicks, 0);
     }
 
     #[test]

@@ -36,6 +36,7 @@ ENGINE_COUNTERS = [
     "engine.ticks",
     "engine.page_views",
     "engine.impressions",
+    "engine.pixel_fires",
     "auction.won",
     "eligibility.considered",
     "index.candidates",
@@ -77,18 +78,25 @@ ENGINE_HISTOGRAMS = [
 
 # The serving front end's catalog: request accounting, SLO verdicts, and
 # the wall-clock shape of the request path. Fault counters stay required —
-# the serving stack always runs under the supervisor's fault plan.
+# the serving stack always runs under the supervisor's fault plan. The
+# engine, fault and targeting names are the ones both run paths register
+# at zero (`treads_engine::register_run_counters`).
 SERVING_COUNTERS = [
     "engine.ticks",
     "engine.page_views",
     "engine.impressions",
+    "engine.pixel_fires",
     "auction.won",
     "serving.requests",
     "serving.shed",
     "serving.slo_breach",
+    "serving.merge_conflicts",
     "faults.injected",
     "faults.recovered",
     "faults.unrecoverable",
+    "targeting.compiled_evals",
+    "targeting.match_sets",
+    "targeting.facet_updates",
 ]
 
 SERVING_HISTOGRAMS = [

@@ -512,9 +512,9 @@ fn serving_tick_under_shard_crash_degrades_instead_of_panicking() {
     assert_eq!(clean.report.shed, 0, "fault-free serving sheds nothing");
     assert!(clean.report.impressions > 0);
 
-    // A crash within the retry budget is invisible: the worker replays the
-    // micro-batch from its batch snapshot and every durable output is
-    // byte-identical to the fault-free run.
+    // A crash within the retry budget is invisible: the worker restores
+    // its batch-start state after each failing attempt and every durable
+    // output is byte-identical to the fault-free run.
     let recoverable = serving_run(
         2,
         &ResilienceOptions {
