@@ -102,6 +102,12 @@ impl FrequencyCaps {
         self.counts.get(&(ad, user)).copied().unwrap_or(0) < self.cap
     }
 
+    /// Makes room for `additional` more `(ad, user)` counters, so that
+    /// many first impressions do not rehash the map.
+    pub fn reserve(&mut self, additional: usize) {
+        self.counts.reserve(additional);
+    }
+
     /// Records one more impression of `ad` to `user`.
     pub fn bump(&mut self, ad: AdId, user: UserId) {
         *self.counts.entry((ad, user)).or_insert(0) += 1;
@@ -169,6 +175,27 @@ pub struct PendingImpression {
     /// the impression log so delivery receipts bind each delivery to its
     /// exact targeting parameters.
     pub spec_digest: u64,
+}
+
+impl PendingImpression {
+    /// Charges the impression to `billing`, returning the per-impression
+    /// price.
+    pub fn charge(&self, billing: &mut BillingLedger) -> Money {
+        billing.charge_impression(self.account, self.campaign, self.ad, self.clearing_cpm)
+    }
+
+    /// The impression-log record of this impression charged at `price`.
+    pub fn logged(&self, price: Money) -> Impression {
+        Impression {
+            ad: self.ad,
+            campaign: self.campaign,
+            account: self.account,
+            user: self.user,
+            at: self.at,
+            price,
+            spec_digest: self.spec_digest,
+        }
+    }
 }
 
 /// What the decide half concluded for one opportunity.
@@ -712,22 +739,9 @@ pub fn apply_impression(
     freq: &mut FrequencyCaps,
     log: &mut ImpressionLog,
 ) -> Money {
-    let price = billing.charge_impression(
-        pending.account,
-        pending.campaign,
-        pending.ad,
-        pending.clearing_cpm,
-    );
+    let price = pending.charge(billing);
     freq.bump(pending.ad, pending.user);
-    log.record(Impression {
-        ad: pending.ad,
-        campaign: pending.campaign,
-        account: pending.account,
-        user: pending.user,
-        at: pending.at,
-        price,
-        spec_digest: pending.spec_digest,
-    });
+    log.record(pending.logged(price));
     price
 }
 

@@ -80,6 +80,11 @@ impl PixelRegistry {
         Ok(())
     }
 
+    /// Makes room for `additional` more fires in the journal.
+    pub fn reserve(&mut self, additional: usize) {
+        self.events.reserve(additional);
+    }
+
     /// Replaces the fire journal with a checkpointed event list. The
     /// registered pixels themselves are static configuration and are
     /// reconstructed by the host, not checkpointed.

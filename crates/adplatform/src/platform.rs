@@ -445,10 +445,14 @@ impl Platform {
     /// Records a pixel fire at an explicit instant (the engine replays
     /// batched shard events through this, each carrying its own timestamp).
     pub fn apply_pixel_fire(&mut self, user: UserId, pixel: PixelId, at: SimTime) -> Result<()> {
-        self.profiles.get(user)?;
-        self.pixels.record(pixel, user, at)?;
-        self.audiences.record_pixel_visit(pixel, user);
-        Ok(())
+        record_pixel_fire(
+            &self.profiles,
+            &mut self.pixels,
+            &mut self.audiences,
+            user,
+            pixel,
+            at,
+        )
     }
 
     /// A user generates one impression opportunity (they are browsing and
@@ -713,6 +717,24 @@ impl Platform {
     pub fn profile(&self, user: UserId) -> Result<&UserProfile> {
         self.profiles.get(user)
     }
+}
+
+/// [`Platform::apply_pixel_fire`] on the three stores it touches, so a
+/// caller holding the platform's fields apart (the engine's tick fold)
+/// runs the same operation. A fire from an unknown user or of an
+/// unregistered pixel changes nothing.
+pub fn record_pixel_fire(
+    profiles: &ProfileStore,
+    pixels: &mut PixelRegistry,
+    audiences: &mut AudienceStore,
+    user: UserId,
+    pixel: PixelId,
+    at: SimTime,
+) -> Result<()> {
+    profiles.get(user)?;
+    pixels.record(pixel, user, at)?;
+    audiences.record_pixel_visit(pixel, user);
+    Ok(())
 }
 
 #[cfg(test)]

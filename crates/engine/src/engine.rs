@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use adplatform::platform::record_pixel_fire;
 use adplatform::Platform;
 use adsim_types::{CampaignId, Error, SimTime, UserId};
 use parking_lot::Mutex;
@@ -130,6 +131,18 @@ pub struct TickFold {
     pub impressions: u64,
 }
 
+/// The fewest pixel fires, and the fewest impressions, a tick must carry
+/// before [`fold_tick_events`] folds its two store groups on two threads.
+///
+/// A scope that spawns and joins one thread costs ~20 µs (median of
+/// 2,000) on a 2-thread host, and a folded event ~0.1–0.2 µs per store
+/// group, so a tick with 1,000 of each saves well over the thread's
+/// cost. Smaller ticks stay inline: in the batch engine the fold shares
+/// the host with the shards' prefetch threads, and `batch-broad`'s ticks
+/// 2–5 carry ~10k pixel fires beside at most ~155 impressions, too few
+/// for the impression half to pay for the thread.
+const FOLD_SPLIT_MIN: usize = 1_000;
+
 /// Folds one tick's canonically-merged events into the platform: the
 /// single writer step of the bulk-synchronous tick.
 ///
@@ -140,6 +153,25 @@ pub struct TickFold {
 /// (`exhausted` carries the already-journaled campaign set across ticks),
 /// advances the platform clock to `tick_end`, and counts
 /// `engine.pixel_fires` / `engine.impressions` / `engine.ticks`.
+///
+/// The events touch two disjoint groups of stores:
+///
+/// * pixel fires (profile check, pixel journal, pixel audiences) and
+///   every impression's global frequency bump;
+/// * every impression's billing charge, impression-log record, receipt
+///   and `ImpressionBilled` flight event.
+///
+/// No operation of one group reads a store of the other (an impression's
+/// price is a function of its clearing CPM alone), so each store sees the
+/// same operations in the same order however the groups interleave, and
+/// the folded bytes equal a one-event-at-a-time fold. A tick carrying at
+/// least 1,000 pixel fires and as many impressions (`FOLD_SPLIT_MIN`)
+/// walks the first group over the merged events on a scoped helper thread
+/// while the calling thread walks the second; the calling thread first
+/// reserves the room the helper's journal and frequency map grow into.
+/// Smaller ticks apply both groups event by event on the calling thread.
+/// The budget-exhaustion journal, the counters and the clock advance run
+/// after both groups.
 ///
 /// This is the **only** code path that mutates shared platform state at a
 /// tick boundary; the batch engine's supervisor and `treads-serving`'s
@@ -159,58 +191,105 @@ pub fn fold_tick_events(
     exhausted: &mut BTreeSet<CampaignId>,
     mut ledger: Option<&mut ReceiptLedger>,
 ) -> TickFold {
-    let recording = telemetry.is_enabled();
-    let mut charged_campaigns: BTreeSet<CampaignId> = BTreeSet::new();
-    let mut fold = TickFold::default();
+    let Platform {
+        profiles,
+        pixels,
+        audiences,
+        campaigns,
+        billing,
+        freq,
+        log,
+        clock,
+        ..
+    } = platform;
+    let fires = merged
+        .iter()
+        .filter(|e| matches!(e, ShardEvent::PixelFire { .. }))
+        .count();
+    let impressions = merged.len() - fires;
     if let Some(ledger) = ledger.as_deref_mut() {
-        // Event count bounds the tick's impressions, so no append below
-        // reallocates a chain mid-fold.
-        ledger.reserve(merged.len() as u64);
+        // Room for this tick's receipts before the appends below.
+        ledger.reserve(impressions as u64);
     }
-    for event in merged {
-        match event {
-            ShardEvent::PixelFire {
-                at, user, pixel, ..
-            } => {
-                if platform.apply_pixel_fire(user, pixel, at).is_ok() {
-                    fold.pixel_fires += 1;
-                }
-            }
-            ShardEvent::Impression {
-                user_seq, pending, ..
-            } => {
-                let price = platform.apply_impression(&pending);
-                fold.impressions += 1;
-                if let Some(ledger) = ledger.as_deref_mut() {
-                    ledger.append(
-                        pending.user,
-                        pending.ad,
-                        pending.spec_digest,
-                        pending.at,
-                        price,
-                    );
-                }
-                if recording {
-                    charged_campaigns.insert(pending.campaign);
-                    telemetry.record_event(FlightEvent {
-                        at: pending.at,
-                        user: pending.user,
-                        seq: user_seq,
-                        // The fold runs after the merge erased the page
-                        // view's starting seq, so it cannot re-derive the
-                        // request's trace id; see `FlightEvent::trace`.
-                        trace: 0,
-                        kind: FlightKind::ImpressionBilled {
-                            ad: pending.ad.raw(),
-                            campaign: pending.campaign.raw(),
-                            account: pending.account.raw(),
-                            price_micros: price.as_micros(),
-                        },
-                    });
-                }
+    let split = fires.min(impressions) >= FOLD_SPLIT_MIN;
+    if split {
+        // The helper thread then grows neither store.
+        pixels.reserve(fires);
+        freq.reserve(impressions);
+    }
+    let recording = telemetry.is_enabled();
+    // The first store group: pixel fires (profile check, pixel journal,
+    // pixel audiences) and every impression's global frequency bump.
+    let mut pixel_fires = 0;
+    let mut audience_effects = |event: &ShardEvent| match *event {
+        ShardEvent::PixelFire {
+            at, user, pixel, ..
+        } => {
+            if record_pixel_fire(profiles, pixels, audiences, user, pixel, at).is_ok() {
+                pixel_fires += 1;
             }
         }
+        ShardEvent::Impression { pending, .. } => freq.bump(pending.ad, pending.user),
+    };
+    // The second: every impression's charge, log record, receipt and,
+    // when recording, flight event and charged campaign (the only ones
+    // that can have crossed their budget).
+    let mut charged = BTreeSet::new();
+    let mut charge_effects = |event: &ShardEvent| {
+        let ShardEvent::Impression {
+            user_seq, pending, ..
+        } = *event
+        else {
+            return;
+        };
+        let price = pending.charge(billing);
+        log.record(pending.logged(price));
+        if let Some(ledger) = ledger.as_deref_mut() {
+            ledger.append(
+                pending.user,
+                pending.ad,
+                pending.spec_digest,
+                pending.at,
+                price,
+            );
+        }
+        if recording {
+            charged.insert(pending.campaign);
+            telemetry.record_event(FlightEvent {
+                at: pending.at,
+                user: pending.user,
+                seq: user_seq,
+                // The fold runs after the merge erased the page view's
+                // starting seq, so it cannot re-derive the request's
+                // trace id; see `FlightEvent::trace`.
+                trace: 0,
+                kind: FlightKind::ImpressionBilled {
+                    ad: pending.ad.raw(),
+                    campaign: pending.campaign.raw(),
+                    account: pending.account.raw(),
+                    price_micros: price.as_micros(),
+                },
+            });
+        }
+    };
+    if split {
+        // The scope joins the helper, and a helper panic fails the scope
+        // as a panicking shard fails the engine tick scope.
+        crossbeam::scope(|s| {
+            s.spawn(|_| merged.iter().for_each(&mut audience_effects));
+            merged.iter().for_each(&mut charge_effects);
+        })
+        .expect("fold scope");
+    } else {
+        for event in &merged {
+            audience_effects(event);
+            charge_effects(event);
+        }
     }
+    let fold = TickFold {
+        pixel_fires,
+        impressions: impressions as u64,
+    };
     telemetry.count("engine.pixel_fires", fold.pixel_fires);
     telemetry.count("engine.impressions", fold.impressions);
     if ledger.is_some() {
@@ -219,33 +298,31 @@ pub fn fold_tick_events(
 
     // A campaign can only cross its budget in a tick that charged it, so
     // checking the charged set covers every transition.
-    if recording {
-        for campaign in charged_campaigns {
-            if exhausted.contains(&campaign) {
-                continue;
-            }
-            let budget_limit = match platform.campaigns.campaign(campaign) {
-                Ok(c) => c.budget,
-                Err(_) => continue,
-            };
-            if !platform.billing.within_budget(campaign, budget_limit) {
-                exhausted.insert(campaign);
-                telemetry.count("delivery.budget_exhaustions", 1);
-                telemetry.record_event(FlightEvent {
-                    at: tick_end,
-                    user: UserId(0),
-                    seq: campaign.raw(),
-                    // Campaign-level: no single request caused it.
-                    trace: 0,
-                    kind: FlightKind::BudgetExhausted {
-                        campaign: campaign.raw(),
-                    },
-                });
-            }
+    for campaign in charged {
+        if exhausted.contains(&campaign) {
+            continue;
+        }
+        let budget_limit = match campaigns.campaign(campaign) {
+            Ok(c) => c.budget,
+            Err(_) => continue,
+        };
+        if !billing.within_budget(campaign, budget_limit) {
+            exhausted.insert(campaign);
+            telemetry.count("delivery.budget_exhaustions", 1);
+            telemetry.record_event(FlightEvent {
+                at: tick_end,
+                user: UserId(0),
+                seq: campaign.raw(),
+                // Campaign-level: no single request caused it.
+                trace: 0,
+                kind: FlightKind::BudgetExhausted {
+                    campaign: campaign.raw(),
+                },
+            });
         }
     }
 
-    platform.clock.advance_to(tick_end);
+    clock.advance_to(tick_end);
     telemetry.count("engine.ticks", 1);
     fold
 }
@@ -1088,4 +1165,248 @@ fn dirty_slots(delta: &DeltaFrame) -> u64 {
         + audience
         + delta.facets.len()
         + shards) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adplatform::attributes::AttributeCatalog;
+    use adplatform::campaign::AdCreative;
+    use adplatform::delivery::PendingImpression;
+    use adplatform::profile::Gender;
+    use adplatform::targeting::{TargetingExpr, TargetingSpec};
+    use adplatform::PlatformConfig;
+    use adsim_types::{AccountId, AdId, Money, PixelId};
+
+    const USERS: u64 = 300;
+
+    /// A platform with one pixel feeding a pixel audience and two
+    /// campaigns: `roomy` has ample budget, `tight` crosses its $1 budget
+    /// about two thirds of the way through the tick built below.
+    fn fold_scenario() -> (Platform, PixelId, [(CampaignId, AdId); 2]) {
+        let mut p = Platform::new(PlatformConfig::default(), AttributeCatalog::new());
+        let adv = p.register_advertiser("adv");
+        let acct = p.open_account(adv).expect("account");
+        let pixel = p.create_pixel(acct, "opt-in page").expect("pixel");
+        p.create_pixel_audience(acct, pixel).expect("audience");
+        let mut campaign = |budget| {
+            let c = p
+                .create_campaign(acct, "c", Money::dollars(2), Some(budget))
+                .expect("campaign");
+            let ad = p
+                .submit_ad(
+                    c,
+                    AdCreative::text("Hello", "World"),
+                    TargetingSpec::including(TargetingExpr::Everyone),
+                )
+                .expect("ad");
+            (c, ad)
+        };
+        let roomy = campaign(Money::dollars(1_000));
+        let tight = campaign(Money::dollars(1));
+        for i in 0..USERS {
+            p.register_user(20 + (i % 40) as u8, Gender::Female, "Ohio", "43004");
+        }
+        (p, pixel, [roomy, tight])
+    }
+
+    /// One canonically ordered tick: 1,500 page views, each a pixel fire
+    /// and an impression, several users per millisecond, plus one fire of
+    /// an unknown pixel and one of an unknown user.
+    fn tick_events(
+        pixel: PixelId,
+        ads: [(CampaignId, AdId); 2],
+        account: AccountId,
+    ) -> Vec<ShardEvent> {
+        let mut seqs = vec![0u64; USERS as usize + 2];
+        let mut events = Vec::new();
+        for view in 0..1_500u64 {
+            let at = SimTime(view / 3);
+            let user = UserId(1 + (view * 7) % USERS);
+            let seq = &mut seqs[user.raw() as usize];
+            events.push(ShardEvent::PixelFire {
+                at,
+                user,
+                user_seq: *seq,
+                pixel,
+            });
+            let (campaign, ad) = ads[(view % 2) as usize];
+            events.push(ShardEvent::Impression {
+                at,
+                user,
+                user_seq: *seq + 1,
+                pending: PendingImpression {
+                    ad,
+                    campaign,
+                    account,
+                    user,
+                    at,
+                    clearing_cpm: Money::micros(2_000_000 + 1_000 * (view % 5) as i64),
+                    spec_digest: 0xfeed ^ ad.raw(),
+                },
+            });
+            *seq += 2;
+        }
+        events.push(ShardEvent::PixelFire {
+            at: SimTime(100),
+            user: UserId(1),
+            user_seq: 1_000,
+            pixel: PixelId(pixel.raw() + 99),
+        });
+        events.push(ShardEvent::PixelFire {
+            at: SimTime(100),
+            user: UserId(USERS + 1),
+            user_seq: 0,
+            pixel,
+        });
+        events.sort_by_key(ShardEvent::key);
+        events
+    }
+
+    /// The fold one event at a time, written against the platform's
+    /// public store operations: the definition `fold_tick_events` must
+    /// reproduce byte for byte.
+    fn reference_fold(
+        platform: &mut Platform,
+        merged: &[ShardEvent],
+        tick_end: SimTime,
+        telemetry: &mut Telemetry,
+        exhausted: &mut BTreeSet<CampaignId>,
+        ledger: &mut ReceiptLedger,
+    ) -> TickFold {
+        let mut fold = TickFold::default();
+        let mut charged = BTreeSet::new();
+        for event in merged {
+            match *event {
+                ShardEvent::PixelFire {
+                    at, user, pixel, ..
+                } => {
+                    if platform.apply_pixel_fire(user, pixel, at).is_ok() {
+                        fold.pixel_fires += 1;
+                    }
+                }
+                ShardEvent::Impression {
+                    user_seq, pending, ..
+                } => {
+                    let price = platform.apply_impression(&pending);
+                    fold.impressions += 1;
+                    ledger.append(
+                        pending.user,
+                        pending.ad,
+                        pending.spec_digest,
+                        pending.at,
+                        price,
+                    );
+                    charged.insert(pending.campaign);
+                    telemetry.record_event(FlightEvent {
+                        at: pending.at,
+                        user: pending.user,
+                        seq: user_seq,
+                        trace: 0,
+                        kind: FlightKind::ImpressionBilled {
+                            ad: pending.ad.raw(),
+                            campaign: pending.campaign.raw(),
+                            account: pending.account.raw(),
+                            price_micros: price.as_micros(),
+                        },
+                    });
+                }
+            }
+        }
+        telemetry.count("engine.pixel_fires", fold.pixel_fires);
+        telemetry.count("engine.impressions", fold.impressions);
+        telemetry.count("ledger.receipts", fold.impressions);
+        for campaign in charged {
+            let budget = platform.campaigns.campaign(campaign).expect("c").budget;
+            if !platform.billing.within_budget(campaign, budget) && exhausted.insert(campaign) {
+                telemetry.count("delivery.budget_exhaustions", 1);
+                telemetry.record_event(FlightEvent {
+                    at: tick_end,
+                    user: UserId(0),
+                    seq: campaign.raw(),
+                    trace: 0,
+                    kind: FlightKind::BudgetExhausted {
+                        campaign: campaign.raw(),
+                    },
+                });
+            }
+        }
+        platform.clock.advance_to(tick_end);
+        telemetry.count("engine.ticks", 1);
+        fold
+    }
+
+    /// `fold_tick_events` on a tick large enough to split its stores
+    /// across two threads leaves exactly what folding one event at a time
+    /// leaves: platform state, receipt chains, tally, counters and the
+    /// flight journal (`ImpressionBilled` order and the one
+    /// `BudgetExhausted`).
+    #[test]
+    fn split_fold_equals_one_event_at_a_time() {
+        let (mut reference, pixel, ads) = fold_scenario();
+        let account = reference.campaigns.campaign(ads[0].0).expect("c").account;
+        let merged = tick_events(pixel, ads, account);
+        let fires = merged
+            .iter()
+            .filter(|e| matches!(e, ShardEvent::PixelFire { .. }))
+            .count();
+        assert_eq!((fires, merged.len() - fires), (1_502, 1_500));
+        assert!(
+            fires.min(merged.len() - fires) >= FOLD_SPLIT_MIN,
+            "the tick splits"
+        );
+        let tick_end = SimTime(DAY_MS);
+
+        let mut ref_telemetry = Telemetry::with_flight_capacity(10_000);
+        let mut ref_exhausted = BTreeSet::new();
+        let mut ref_ledger = ReceiptLedger::new(7, DAY_MS);
+        let want = reference_fold(
+            &mut reference,
+            &merged,
+            tick_end,
+            &mut ref_telemetry,
+            &mut ref_exhausted,
+            &mut ref_ledger,
+        );
+
+        let (mut platform, _, _) = fold_scenario();
+        let mut telemetry = Telemetry::with_flight_capacity(10_000);
+        let mut exhausted = BTreeSet::new();
+        let mut ledger = ReceiptLedger::new(7, DAY_MS);
+        let got = fold_tick_events(
+            &mut platform,
+            merged,
+            tick_end,
+            &mut telemetry,
+            &mut exhausted,
+            Some(&mut ledger),
+        );
+
+        assert_eq!(got, want);
+        assert_eq!(
+            got,
+            TickFold {
+                pixel_fires: 1_500,
+                impressions: 1_500
+            },
+            "the unknown pixel and the unknown user are not counted"
+        );
+        let state = platform.export_state();
+        assert_eq!(state, reference.export_state());
+        assert_eq!(state.pixel_events.len(), 1_500);
+        assert_eq!(state.audience_members[0].1.len(), USERS as usize);
+        assert_eq!(ledger.heads(), ref_ledger.heads());
+        assert_eq!(ledger, ref_ledger);
+        assert_eq!(telemetry.metrics(), ref_telemetry.metrics());
+        assert_eq!(
+            telemetry.metrics().counter("delivery.budget_exhaustions"),
+            1
+        );
+        assert_eq!(exhausted, ref_exhausted);
+        assert_eq!(exhausted, BTreeSet::from([ads[1].0]));
+        let journal: Vec<FlightEvent> = telemetry.flight().events().copied().collect();
+        let ref_journal: Vec<FlightEvent> = ref_telemetry.flight().events().copied().collect();
+        assert_eq!(journal.len(), 1_501);
+        assert_eq!(journal, ref_journal);
+    }
 }

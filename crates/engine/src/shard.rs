@@ -60,6 +60,12 @@ impl DayGen {
         SessionSchedule::generate_day_for_user(user, &self.site_ids, &self.session, self.seed, day)
     }
 
+    /// The number of events in day `day` of `user`'s schedule, without
+    /// generating them.
+    fn day_len(&self, user: UserId, day: u64) -> u64 {
+        SessionSchedule::day_len_for_user(user, &self.session, self.seed, day)
+    }
+
     /// Whether day `day` exists and can hold events before `until`.
     fn needed(&self, day: u64, until: SimTime) -> bool {
         day < self.session.days && day * DAY_MS < until.millis()
@@ -658,9 +664,9 @@ impl ShardState {
                 self.users.len()
             )));
         }
-        // Replay day generation to locate each frozen cursor: days are
-        // regenerated from day 0, fully-consumed ones discarded, until the
-        // consumed-event count is spent. Nothing is applied until every
+        // Locate each frozen cursor by day lengths from day 0: a fully
+        // consumed day is only counted (its first draw), and only the day
+        // the cursor lands in is generated. Nothing is applied until every
         // user's cursor is known to fit inside their schedule.
         let mut windows: Vec<(Vec<BrowsingEvent>, usize, u64)> =
             Vec::with_capacity(self.users.len());
@@ -674,13 +680,13 @@ impl ShardState {
             let mut remaining = frozen.cursor;
             let mut window = (Vec::new(), 0usize, 0u64);
             for day in 0..self.days.session.days {
-                let events = self.days.day(user.id, day);
-                if remaining < events.len() as u64 {
-                    window = (events, remaining as usize, day + 1);
+                let len = self.days.day_len(user.id, day);
+                if remaining < len {
+                    window = (self.days.day(user.id, day), remaining as usize, day + 1);
                     remaining = 0;
                     break;
                 }
-                remaining -= events.len() as u64;
+                remaining -= len;
                 window = (Vec::new(), 0, day + 1);
             }
             if remaining > 0 {

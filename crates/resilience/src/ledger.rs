@@ -374,9 +374,8 @@ impl ReceiptLedger {
 
     /// Capacity hint: room for `additional` receipts spread evenly over
     /// the chains, so a tick's appends do not reallocate mid-fold. The
-    /// engine passes the tick's merged event count (an upper bound on
-    /// its impressions); over-estimates cost at most one tick's worth of
-    /// slack, under-estimates just fall back to doubling growth.
+    /// tick fold passes the tick's impression count; a chain drawing
+    /// more than its even share falls back to doubling growth.
     pub fn reserve(&mut self, additional: u64) {
         if !self.retain {
             return;

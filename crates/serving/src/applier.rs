@@ -5,8 +5,13 @@
 //! order, and folds them into the platform through
 //! [`treads_engine::fold_tick_events`] — the same single-writer step the
 //! batch supervisor uses. It then refreezes the budget snapshot, hands it
-//! to every blocked worker, judges the tick's latency window against the
-//! SLO, and acks the front end so the simulated clock may advance.
+//! to every blocked worker and acks the front end, so the simulated
+//! clock advances as soon as the platform is folded. The tick's
+//! bookkeeping — counters, the SLO judgement of its latency window, trace
+//! retention — runs after the ack, while the next tick admits requests,
+//! and always before the applier reads the next tick's batches. With an
+//! enabled telemetry handle the merge and the fold are timed as the batch
+//! engine times them (`phase.merge_ns`, `phase.apply_ns`).
 //!
 //! The applier counts every tick straight into the run's
 //! [`ServingOutcome`]; the front end adds only the requests it shed
@@ -23,7 +28,8 @@ use parking_lot::RwLock;
 use treads_engine::{fold_tick_events, merge_batches_lossy, MergeError};
 use treads_resilience::{FaultReport, ReceiptLedger};
 use treads_telemetry::{
-    Histogram, Registry, RequestTrace, SloTarget, SloTracker, Telemetry, TraceEventKind, TraceId,
+    span, Histogram, Registry, RequestTrace, SloTarget, SloTracker, Telemetry, TraceEventKind,
+    TraceId,
 };
 
 use crate::report::{ServingOutcome, ServingReport};
@@ -78,12 +84,13 @@ pub(crate) fn run_applier(
         );
 
         // The single-writer step first: merge canonically, fold, refreeze,
-        // and hand the new snapshot to the blocked workers. Everything
-        // below it — per-batch counters, SLO judgement, trace retention —
-        // is bookkeeping the workers need not wait for, so releasing the
-        // barrier here lets session generation and admission for tick t+1
-        // overlap with the accounting of tick t (the serving twin of the
-        // batch engine's pipelined tick).
+        // resume the blocked workers and ack the front end, whose
+        // clock-holding thread waits on the ack to open tick t+1.
+        // Everything below — per-batch counters, SLO judgement, trace
+        // retention — is bookkeeping neither needs, so it runs while tick
+        // t+1 admits and decides (the serving twin of the batch engine's
+        // pipelined tick). This loop reads tick t+1's batches only after
+        // it, so every tick is fully accounted in order.
         let events: Vec<_> = batches
             .iter_mut()
             .map(|b| std::mem::take(&mut b.events))
@@ -101,14 +108,19 @@ pub(crate) fn run_applier(
             // the front end must degrade (first-writer-wins) and keep
             // serving rather than panic. Conflicts are counted, and each
             // leaves an always-retained trace naming the duplicated key.
-            let (merged, conflicts) = merge_batches_lossy(events);
-            let fold = fold_tick_events(
-                p,
-                merged,
-                SimTime(tick_end),
+            let (merged, conflicts) =
+                span!(telemetry, "phase.merge_ns", merge_batches_lossy(events));
+            let fold = span!(
                 telemetry,
-                &mut exhausted,
-                out.ledger.as_mut(),
+                "phase.apply_ns",
+                fold_tick_events(
+                    p,
+                    merged,
+                    SimTime(tick_end),
+                    telemetry,
+                    &mut exhausted,
+                    out.ledger.as_mut(),
+                )
             );
             out.report.impressions += fold.impressions;
             out.report.pixel_fires += fold.pixel_fires;
@@ -118,6 +130,7 @@ pub(crate) fn run_applier(
         for tx in resume_txs {
             let _ = tx.send(snapshot.clone());
         }
+        let _ = ack_tx.send(());
 
         let mut tick_latency = Histogram::latency_ns();
         let mut reg = Registry::new();
@@ -196,10 +209,6 @@ pub(crate) fn run_applier(
                 telemetry.offer_trace(t);
             }
         }
-
-        // The front end's clock advances only once the tick is fully
-        // accounted (workers were released right after the fold above).
-        let _ = ack_tx.send(());
     }
     out.report.slo_windows = slo.windows();
     out.report.slo_breaches = slo.breaches();

@@ -148,8 +148,10 @@ impl Frontend {
     }
 
     /// Closes the tick ending at `*clock`: every worker flushes and hands
-    /// its batch to the applier, the applier folds and refreezes, and the
-    /// ack releases this (clock-holding) thread to advance.
+    /// its batch to the applier, the applier folds and refreezes, and its
+    /// ack releases this (clock-holding) thread to advance. The applier
+    /// acks before the tick's bookkeeping, which finishes while the next
+    /// tick admits requests.
     fn close_tick(&self, clock: &mut u64) {
         let tick_end = *clock;
         for tx in &self.worker_txs {
@@ -514,6 +516,60 @@ mod tests {
         // Latency was measured for every answered request.
         assert_eq!(r.latency.count(), 16);
         assert_eq!(r.slo_windows, 2);
+    }
+
+    /// The applier acks the front end before a tick's bookkeeping, yet
+    /// that bookkeeping still lands before the run returns, the last
+    /// tick's included: under an SLO every non-empty window breaches,
+    /// every window is judged and every request of the last tick keeps a
+    /// tail trace, though head sampling keeps none.
+    #[test]
+    fn bookkeeping_after_the_ack_still_lands_for_the_last_tick() {
+        let (mut p, sites, users) = scenario(4);
+        let engine = ServingEngine::new(ServingConfig {
+            horizon_ms: 3 * DAY_MS,
+            trace: TraceConfig {
+                sample_per_mille: 0,
+                ..TraceConfig::default()
+            },
+            slo: treads_telemetry::SloTarget {
+                quantile: 0.99,
+                target_ns: 0,
+            },
+            ..config(2)
+        });
+        let site = sites.ids()[0];
+        let mut telemetry = Telemetry::new();
+        // Ticks 0 and 2 serve every user once; tick 1 serves nobody.
+        let (outcome, ()) = engine.serve_with_telemetry(
+            &mut p,
+            &sites,
+            &BTreeSet::new(),
+            &ResilienceOptions::default(),
+            &mut telemetry,
+            |frontend| {
+                for day in [0, 2] {
+                    for (i, &user) in users.iter().enumerate() {
+                        let at = SimTime(day * DAY_MS + i as u64);
+                        let response = frontend.submit(OpportunityRequest { user, site, at });
+                        assert!(response.wait().is_served());
+                    }
+                }
+            },
+        );
+        let r = &outcome.report;
+        assert_eq!(r.ticks, 3);
+        assert_eq!((r.slo_windows, r.slo_breaches), (2, 2));
+        assert_eq!(telemetry.metrics().counter("serving.slo_breach"), 2);
+        let last_tick: BTreeSet<u64> = telemetry
+            .traces()
+            .iter()
+            .filter(|t| t.at.0 >= 2 * DAY_MS)
+            .map(|t| t.user)
+            .collect();
+        let all: BTreeSet<u64> = users.iter().map(|u| u.raw()).collect();
+        assert_eq!(last_tick, all, "every last-tick request keeps a trace");
+        assert_eq!(telemetry.traces().len(), 2 * users.len());
     }
 
     #[test]

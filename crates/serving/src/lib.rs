@@ -26,12 +26,15 @@
 //! per-`(ad, user)` frequency counters bumped immediately in the owning
 //! shard worker), so micro-batch composition — how `max_batch` and
 //! `max_delay` happen to chop the request stream — can change *latency*
-//! but never *outcomes*. At tick close the workers' event batches merge in
-//! the canonical `(at, user, user_seq)` order and fold through
-//! [`treads_engine::fold_tick_events`], the same single-writer step the
-//! batch engine uses. A serving run fed a fixed arrival schedule is
-//! therefore **byte-identical** to the batch engine fed the same
-//! opportunity stream (proven at 1/2/8 shards in
+//! but never *outcomes*. At tick close each worker puts its events, already
+//! in arrival order, into key order (fixing the few same-millisecond
+//! ties), the batches merge in the canonical `(at, user, user_seq)` order
+//! and fold through [`treads_engine::fold_tick_events`], the same
+//! single-writer step the batch engine uses, and the front end is released
+//! as soon as the fold and the budget refreeze are done; the tick's
+//! bookkeeping follows while the next tick admits. A serving run fed a
+//! fixed arrival schedule is therefore **byte-identical** to the batch
+//! engine fed the same opportunity stream (proven at 1/2/8 shards in
 //! `tests/serving_equivalence.rs`), provided admission control never fires
 //! (shedding depends on wall-clock queue depth, the one deliberately
 //! non-deterministic escape hatch).

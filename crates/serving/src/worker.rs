@@ -584,8 +584,115 @@ impl<'a, 'p> Worker<'a, 'p> {
     fn flush_tick(&mut self, tick_end: u64) -> TickBatch {
         let mut batch = std::mem::replace(&mut self.acc, TickBatch::new(self.shard));
         batch.tick_end = tick_end;
-        // Stable; sorts (key, index) pairs, not the wide events themselves.
-        batch.events.sort_by_cached_key(ShardEvent::key);
+        sort_arrival_order(&mut batch.events);
         batch
+    }
+}
+
+/// Sorts a worker's tick events by [`ShardEvent::key`], given that they
+/// were produced in request-arrival order.
+///
+/// Requests reach a worker with non-decreasing `at`, so the events are
+/// already in key order except where requests sharing a simulated
+/// millisecond arrived in descending user order: a few dozen events in
+/// a ~12k-event batch. Each such event is inserted into the sorted
+/// prefix. Once the moves exceed the batch length (a client breaking the
+/// non-decreasing `at` contract) the rest falls back to a full stable
+/// sort, so the cost stays O(n log n). Both paths are stable sorts by the
+/// key, so the result is the order `sort_by_cached_key` gives. Returns
+/// whether the full sort ran.
+fn sort_arrival_order(events: &mut [ShardEvent]) -> bool {
+    let mut moves = 0;
+    for i in 1..events.len() {
+        let key = events[i].key();
+        if events[i - 1].key() <= key {
+            continue;
+        }
+        let to = events[..i].partition_point(|e| e.key() <= key);
+        moves += i - to;
+        if moves > events.len() {
+            // Stable; sorts (key, index) pairs, not the wide events.
+            events.sort_by_cached_key(ShardEvent::key);
+            return true;
+        }
+        events[to..=i].rotate_right(1);
+    }
+    false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adplatform::delivery::PendingImpression;
+    use adsim_types::{AccountId, AdId, CampaignId, Money, PixelId};
+
+    /// One request's events: a pixel fire and, when `won`, an impression.
+    fn view(at: u64, user: u64, seq: u64, won: bool) -> Vec<ShardEvent> {
+        let (at, user) = (SimTime(at), UserId(user));
+        let mut events = vec![ShardEvent::PixelFire {
+            at,
+            user,
+            user_seq: seq,
+            pixel: PixelId(1),
+        }];
+        if won {
+            events.push(ShardEvent::Impression {
+                at,
+                user,
+                user_seq: seq + 1,
+                pending: PendingImpression {
+                    ad: AdId(1),
+                    campaign: CampaignId(1),
+                    account: AccountId(1),
+                    user,
+                    at,
+                    clearing_cpm: Money::dollars(2),
+                    spec_digest: 0,
+                },
+            });
+        }
+        events
+    }
+
+    /// Sorts `events` both ways, asserts the same order, and returns
+    /// whether the arrival-order sort fell back to the full sort.
+    fn sort_both_ways(events: Vec<ShardEvent>) -> bool {
+        let mut want = events.clone();
+        want.sort_by_cached_key(ShardEvent::key);
+        let mut got = events;
+        let fell_back = sort_arrival_order(&mut got);
+        assert_eq!(got, want);
+        fell_back
+    }
+
+    #[test]
+    fn arrival_order_sort_matches_the_full_sort() {
+        // Already sorted: nothing moves.
+        let sorted: Vec<_> = (0..50)
+            .flat_map(|i| view(i, 1 + i % 7, i, i % 3 == 0))
+            .collect();
+        assert!(!sort_both_ways(sorted));
+
+        // Same-millisecond ties from descending users, one a pixel fire
+        // plus an impression, amid in-order traffic: the insertion path
+        // fixes them in place.
+        let mut ties: Vec<_> = (0..10).flat_map(|i| view(i, 1, 2 * i, true)).collect();
+        ties.extend(view(10, 9, 0, false));
+        ties.extend(view(10, 4, 0, true));
+        ties.extend(view(10, 2, 6, true));
+        ties.extend(view(11, 3, 2, false));
+        ties.extend(view(12, 8, 1, true));
+        ties.extend(view(12, 5, 4, false));
+        assert!(!sort_both_ways(ties));
+
+        // Reversed: the moves pass the batch length and the rest takes
+        // the full sort.
+        let reversed: Vec<_> = (0..40)
+            .rev()
+            .flat_map(|i| view(i, 1, 2 * i, true))
+            .collect();
+        assert!(sort_both_ways(reversed));
+
+        assert!(!sort_both_ways(Vec::new()));
     }
 }

@@ -13,6 +13,7 @@ use crate::site::SiteRegistry;
 use adplatform::auction::AuctionOutcome;
 use adplatform::Platform;
 use adsim_types::{SimTime, SiteId, UserId};
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -44,6 +45,25 @@ impl BrowsingEvent {
 /// it (or the draw order in [`SessionSchedule::generate_day_for_user`])
 /// needs a checkpoint version bump.
 const SESSION_DAY_DOMAIN: u64 = 0x5345_5353_5f44_4159; // "SESS_DAY"
+
+/// The `(user, day)` stream of `seed` after its first draw, and the
+/// day's event count that draw decides: `floor(views_per_user_per_day)`
+/// plus one with probability `fract(views_per_user_per_day)`.
+fn day_stream(user: UserId, config: &SessionConfig, seed: u64, day: u64) -> (StdRng, u64) {
+    assert!(
+        day < config.days,
+        "day {} outside horizon {}",
+        day,
+        config.days
+    );
+    let mut rng = adsim_types::rng::keyed_stream(seed, SESSION_DAY_DOMAIN, &[user.raw(), day]);
+    let expected = config.views_per_user_per_day;
+    let mut n = expected.floor() as u64;
+    if rng.gen::<f64>() < expected.fract() {
+        n += 1;
+    }
+    (rng, n)
+}
 
 /// Workload shape for schedule generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,19 +160,8 @@ impl SessionSchedule {
         day: u64,
     ) -> Vec<BrowsingEvent> {
         assert!(!sites.is_empty(), "schedule needs at least one site");
-        assert!(
-            day < config.days,
-            "day {} outside horizon {}",
-            day,
-            config.days
-        );
-        let mut rng = adsim_types::rng::keyed_stream(seed, SESSION_DAY_DOMAIN, &[user.raw(), day]);
+        let (mut rng, n) = day_stream(user, config, seed, day);
         let day_start = day * 86_400_000;
-        let expected = config.views_per_user_per_day;
-        let mut n = expected.floor() as u64;
-        if rng.gen::<f64>() < expected.fract() {
-            n += 1;
-        }
         let mut events = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let at = SimTime(day_start + rng.gen_range(0..86_400_000u64));
@@ -161,6 +170,14 @@ impl SessionSchedule {
         }
         events.sort_by_key(|e| e.at());
         events
+    }
+
+    /// The number of events [`Self::generate_day_for_user`] returns for
+    /// the same user, config, seed and day, read from the day's first
+    /// draw without generating an event. A resume skips fully consumed
+    /// days with it.
+    pub fn day_len_for_user(user: UserId, config: &SessionConfig, seed: u64, day: u64) -> u64 {
+        day_stream(user, config, seed, day).1
     }
 
     /// The time-sorted events.
@@ -303,9 +320,28 @@ mod tests {
     }
 
     #[test]
+    fn day_len_is_the_generated_days_length() {
+        let sites = [SiteId(1), SiteId(2)];
+        for views in [0.0, 0.4, 2.5, 6.0] {
+            let config = SessionConfig {
+                views_per_user_per_day: views,
+                days: 3,
+            };
+            for (user, day) in (1..40).flat_map(|u| (0..3).map(move |d| (UserId(u), d))) {
+                let events = SessionSchedule::generate_day_for_user(user, &sites, &config, 5, day);
+                assert_eq!(
+                    SessionSchedule::day_len_for_user(user, &config, 5, day),
+                    events.len() as u64
+                );
+            }
+        }
+    }
+
+    #[test]
     fn day_schedule_is_pinned() {
         // Checkpoint cursors count events of these schedules: a resume
-        // regenerates days and skips the consumed prefix. A change to the
+        // counts whole days from their first draw, regenerates the day
+        // holding the cursor and skips its consumed prefix. A change to the
         // derivation or the draw order changes what a cursor points at,
         // so it must bump CHECKPOINT_VERSION (treads-resilience) too.
         let sites = [SiteId(1), SiteId(2), SiteId(3)];

@@ -13,9 +13,11 @@ Two modes:
       eligibility counters, auction_decided flight events.
 
   check_telemetry_snapshot.py --serving <snapshot.json>
-      Serving catalog (DESIGN.md §12): request/shed/SLO counters and the
-      per-request latency + micro-batch size histograms. The serving path
-      runs no timed engine phases, so those histograms are NOT required.
+      Serving catalog (DESIGN.md §12): request/shed/SLO counters, the
+      per-request latency + micro-batch size histograms, and the tick-close
+      barrier's merge and fold phases (phase.merge_ns / phase.apply_ns).
+      The serving path runs no session-generation or shard-tick phases, so
+      those histograms are NOT required.
 
 Either mode also accepts --trace (DESIGN.md §13): require the causal
 tracing counters (trace.spans / trace.sampled / trace.dropped), the
@@ -102,6 +104,10 @@ SERVING_COUNTERS = [
 SERVING_HISTOGRAMS = [
     "serving.request_latency_ns",
     "serving.batch_size",
+    # The applier's merge and fold, under the batch engine's names: the
+    # two largest layers of the tick-close barrier.
+    "phase.merge_ns",
+    "phase.apply_ns",
 ]
 
 # Causal tracing accounting (DESIGN.md §13): span/retention counters the
