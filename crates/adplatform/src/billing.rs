@@ -93,13 +93,27 @@ impl BillingLedger {
         clearing_cpm: Money,
     ) -> Money {
         let price = clearing_cpm.cpm_per_impression();
-        *self.account_spend.entry(account).or_default() += price;
-        *self.campaign_spend.entry(campaign).or_default() += price;
-        *self.ad_spend.entry(ad).or_default() += price;
-        self.campaign_account.insert(campaign, account);
-        self.impressions_charged += 1;
-        self.charged_micros += price.as_micros();
+        self.charge_total(account, campaign, ad, 1, price);
         price
+    }
+
+    /// Charges `impressions` impressions of `ad` costing `amount` in all:
+    /// the state charging each of them in turn leaves, since every field
+    /// is a sum or the campaign's account.
+    pub(crate) fn charge_total(
+        &mut self,
+        account: AccountId,
+        campaign: CampaignId,
+        ad: AdId,
+        impressions: u64,
+        amount: Money,
+    ) {
+        *self.account_spend.entry(account).or_default() += amount;
+        *self.campaign_spend.entry(campaign).or_default() += amount;
+        *self.ad_spend.entry(ad).or_default() += amount;
+        self.campaign_account.insert(campaign, account);
+        self.impressions_charged += impressions;
+        self.charged_micros += amount.as_micros();
     }
 
     /// Lifetime count of impressions this ledger has charged.

@@ -52,8 +52,8 @@ use rand::Rng;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hashes the frequency-cap map's `(AdId, UserId)` keys by folding each
-/// id word through [`mix64`].
+/// Hashes the frequency-cap map's `(AdId, UserId)` keys, and the fold's
+/// per-ad charge totals, by folding each id word through [`mix64`].
 ///
 /// SipHash's collision protection buys nothing here: both ids are
 /// platform-assigned counters, never caller-chosen bytes, and serving
@@ -182,6 +182,13 @@ impl PendingImpression {
     /// price.
     pub fn charge(&self, billing: &mut BillingLedger) -> Money {
         billing.charge_impression(self.account, self.campaign, self.ad, self.clearing_cpm)
+    }
+
+    /// The per-impression price [`PendingImpression::charge`] bills: a
+    /// function of the clearing CPM alone, so a journal can price the
+    /// impression without the ledger.
+    pub fn price(&self) -> Money {
+        self.clearing_cpm.cpm_per_impression()
     }
 
     /// The impression-log record of this impression charged at `price`.
@@ -729,6 +736,35 @@ pub fn decide_opportunity_traced_with_scratch<B: BudgetView, R: Rng>(
     let DeliveryScratch { matched, bids } = scratch;
     match_set_into(user, campaigns, audiences, suspended, billing, matched);
     decide_slot(matched, at, campaigns, freq, auction_cfg, rng, bids)
+}
+
+/// Charges every impression of `impressions` to `billing` and returns the
+/// campaigns charged.
+///
+/// Leaves the ledger as charging each in turn with
+/// [`PendingImpression::charge`] leaves it, in one update per
+/// `(ad, campaign, account)` instead of one per impression: every ledger
+/// field is a sum, or a campaign's account, which a campaign keeps for
+/// life, so the charges commute and can be totalled first.
+pub fn charge_impressions<'a>(
+    billing: &mut BillingLedger,
+    impressions: impl IntoIterator<Item = &'a PendingImpression>,
+) -> BTreeSet<CampaignId> {
+    let mut totals: HashMap<_, (u64, Money), BuildHasherDefault<IdHasher>> = HashMap::default();
+    for pending in impressions {
+        let total = totals
+            .entry((pending.ad, pending.campaign, pending.account))
+            .or_default();
+        total.0 += 1;
+        total.1 += pending.price();
+    }
+    totals
+        .into_iter()
+        .map(|((ad, campaign, account), (n, amount))| {
+            billing.charge_total(account, campaign, ad, n, amount);
+            campaign
+        })
+        .collect()
 }
 
 /// The **apply** half: charges billing, bumps the frequency counter, and

@@ -1,8 +1,8 @@
 //! Engine bench: the sharded parallel engine end to end — session
 //! generation, parallel shard ticks, and the deterministic merge — on a
 //! small delivery-heavy population, at one and four shards; and the
-//! tick fold alone (`engine/fold_tick`), the largest layer of serving's
-//! tick-close barrier.
+//! tick fold alone (`engine/fold_tick`), whole and its publish half, the
+//! part of it serving's tick-close barrier runs.
 
 use adplatform::campaign::AdCreative;
 use adplatform::delivery::PendingImpression;
@@ -13,7 +13,10 @@ use adsim_types::{Money, SimTime, UserId};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::BTreeSet;
 use treads_engine::resilience::ReceiptLedger;
-use treads_engine::{fold_tick_events, Engine, EngineConfig, ShardEvent, Telemetry, DAY_MS};
+use treads_engine::{
+    fold_tick_events, publish_tick, Engine, EngineConfig, ShardEvent, Telemetry, TickJournals,
+    DAY_MS,
+};
 use websim::{SessionConfig, SiteRegistry};
 
 const USERS: u64 = 2_000;
@@ -131,10 +134,31 @@ fn fold_tick_input() -> (Platform, Vec<ShardEvent>) {
 /// same tick again (a copy of its events, as the fold consumes them),
 /// after emptying the impression log and pixel journal so memory stays
 /// flat; billing, frequency and audience stores keep their keys.
+///
+/// `serve_open_tick_publish` times only the publish half, what serving's
+/// tick-close barrier still runs before it releases the front end:
+/// billing charges and pixel-audience joins over the same events (read in
+/// place, not copied), with the journal stores held apart as the serving
+/// applier holds them.
 fn bench_fold_tick(c: &mut Criterion) {
     let (mut p, events) = fold_tick_input();
     let mut group = c.benchmark_group("engine/fold_tick");
     group.throughput(Throughput::Elements(events.len() as u64));
+    group.bench_function("serve_open_tick_publish", |b| {
+        let mut exhausted = BTreeSet::new();
+        let journals = TickJournals::take(&mut p);
+        b.iter(|| {
+            black_box(publish_tick(
+                &mut p,
+                &journals,
+                &events,
+                SimTime(DAY_MS),
+                false,
+                &mut exhausted,
+            ))
+        });
+        journals.restore(&mut p);
+    });
     group.bench_function("serve_open_tick", |b| {
         let mut telemetry = Telemetry::disabled();
         let mut exhausted = BTreeSet::new();

@@ -3,7 +3,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use adplatform::platform::record_pixel_fire;
+use adplatform::audience::AudienceStore;
+use adplatform::billing::BillingLedger;
+use adplatform::campaign::CampaignStore;
+use adplatform::delivery::{charge_impressions, FrequencyCaps};
+use adplatform::pixel::PixelRegistry;
+use adplatform::profile::ProfileStore;
+use adplatform::reporting::ImpressionLog;
 use adplatform::Platform;
 use adsim_types::{CampaignId, Error, SimTime, UserId};
 use parking_lot::Mutex;
@@ -154,30 +160,43 @@ const FOLD_SPLIT_MIN: usize = 1_000;
 /// advances the platform clock to `tick_end`, and counts
 /// `engine.pixel_fires` / `engine.impressions` / `engine.ticks`.
 ///
-/// The events touch two disjoint groups of stores:
+/// The fold is a few passes over the merged events, each walking them in
+/// canonical order and writing its own stores. Two passes write what the
+/// next tick's decisions read, and [`publish_tick`] runs them:
 ///
-/// * pixel fires (profile check, pixel journal, pixel audiences) and
-///   every impression's global frequency bump;
-/// * every impression's billing charge, impression-log record, receipt
-///   and `ImpressionBilled` flight event.
+/// * the charge pass: every impression's billing charge, which the next
+///   tick's budget snapshot freezes;
+/// * the join pass: every valid pixel fire's pixel-audience joins.
 ///
-/// No operation of one group reads a store of the other (an impression's
-/// price is a function of its clearing CPM alone), so each store sees the
-/// same operations in the same order however the groups interleave, and
-/// the folded bytes equal a one-event-at-a-time fold. A tick carrying at
-/// least 1,000 pixel fires and as many impressions (`FOLD_SPLIT_MIN`)
-/// walks the first group over the merged events on a scoped helper thread
-/// while the calling thread walks the second; the calling thread first
-/// reserves the room the helper's journal and frequency map grow into.
-/// Smaller ticks apply both groups event by event on the calling thread.
-/// The budget-exhaustion journal, the counters and the clock advance run
-/// after both groups.
+/// The others only journal, and [`journal_tick`] runs them: the
+/// impression log, receipts and `ImpressionBilled` events; the pixel
+/// journal and the global frequency counts; then the `BudgetExhausted`
+/// events and the counters. `treads-serving`'s applier publishes at its
+/// tick-close barrier and journals after releasing the front end. This
+/// function runs the same passes back to back in two groups that share no
+/// store:
+///
+/// * the join pass, then the pixel journal and frequency counts;
+/// * the charge pass, then the impression log, receipts and flight events.
+///
+/// A journal pass reads only the events and what a publish pass handed it
+/// (which fires came from unknown users, which campaigns crossed their
+/// budget; an impression's price is a function of its clearing CPM alone),
+/// so each store sees the same operations in the same order however the
+/// passes interleave, and the folded bytes equal a one-event-at-a-time
+/// fold. A tick carrying at least 1,000 pixel fires and as many
+/// impressions (`FOLD_SPLIT_MIN`) runs the first group on a scoped helper
+/// thread while the calling thread runs the second; the calling thread
+/// first reserves the room the helper's journal and frequency map grow
+/// into. Smaller ticks run both groups on the calling thread. The budget
+/// check, its journal, the counters and the clock advance run after both
+/// groups.
 ///
 /// This is the **only** code path that mutates shared platform state at a
-/// tick boundary; the batch engine's supervisor and `treads-serving`'s
-/// applier both fold through it, which is what makes a serving run with a
-/// fixed arrival schedule byte-identical to the batch engine fed the same
-/// opportunity stream.
+/// tick boundary; the batch engine's supervisor folds through it, and
+/// `treads-serving`'s applier through its two halves, which is what makes
+/// a serving run with a fixed arrival schedule byte-identical to the
+/// batch engine fed the same opportunity stream.
 ///
 /// When `ledger` is supplied, every applied impression also appends a
 /// signed [`treads_resilience::DeliveryReceipt`] — in this same canonical
@@ -202,11 +221,8 @@ pub fn fold_tick_events(
         clock,
         ..
     } = platform;
-    let fires = merged
-        .iter()
-        .filter(|e| matches!(e, ShardEvent::PixelFire { .. }))
-        .count();
-    let impressions = merged.len() - fires;
+    let impressions = impression_count(&merged);
+    let fires = merged.len() - impressions;
     if let Some(ledger) = ledger.as_deref_mut() {
         // Room for this tick's receipts before the appends below.
         ledger.reserve(impressions as u64);
@@ -218,31 +234,241 @@ pub fn fold_tick_events(
         freq.reserve(impressions);
     }
     let recording = telemetry.is_enabled();
-    // The first store group: pixel fires (profile check, pixel journal,
-    // pixel audiences) and every impression's global frequency bump.
-    let mut pixel_fires = 0;
-    let mut audience_effects = |event: &ShardEvent| match *event {
-        ShardEvent::PixelFire {
-            at, user, pixel, ..
-        } => {
-            if record_pixel_fire(profiles, pixels, audiences, user, pixel, at).is_ok() {
-                pixel_fires += 1;
+    let receipts = ledger.is_some();
+    let mut audience_group = || {
+        let unknown_users = join_pass(profiles, pixels, audiences, &merged);
+        fire_journal_pass(pixels, freq, &merged, &unknown_users)
+    };
+    let charge_group = || {
+        let charged = charge_pass(billing, &merged, recording);
+        impression_journal_pass(log, ledger, telemetry, &merged);
+        charged
+    };
+    let (pixel_fires, charged) = if split {
+        // The scope joins the helper, and a helper panic fails the scope
+        // as a panicking shard fails the engine tick scope.
+        crossbeam::scope(|s| {
+            let helper = s.spawn(|_| audience_group());
+            let charged = charge_group();
+            (helper.join().expect("fold helper"), charged)
+        })
+        .expect("fold scope")
+    } else {
+        (audience_group(), charge_group())
+    };
+    let crossed = newly_exhausted(campaigns, billing, charged, exhausted);
+    clock.advance_to(tick_end);
+    let fold = TickFold {
+        pixel_fires,
+        impressions: impressions as u64,
+    };
+    close_journal(telemetry, fold, receipts, &crossed, tick_end);
+    fold
+}
+
+/// The stores only the journal passes write, which no decide reads: the
+/// impression log, the pixel registry (whose fire journal grows) and the
+/// global frequency counters.
+///
+/// `treads-serving`'s applier takes them from the platform for a whole
+/// run ([`TickJournals::take`]), so it can journal a tick after releasing
+/// the front end without the lock its workers decide under, and hands
+/// them back when the run ends ([`TickJournals::restore`]).
+#[derive(Debug)]
+pub struct TickJournals {
+    log: ImpressionLog,
+    pixels: PixelRegistry,
+    freq: FrequencyCaps,
+}
+
+impl TickJournals {
+    /// Moves the journal stores out of `platform`, leaving empty ones.
+    pub fn take(platform: &mut Platform) -> Self {
+        Self {
+            log: std::mem::take(&mut platform.log),
+            pixels: std::mem::take(&mut platform.pixels),
+            freq: std::mem::take(&mut platform.freq),
+        }
+    }
+
+    /// Moves the journal stores back into `platform`.
+    pub fn restore(self, platform: &mut Platform) {
+        platform.log = self.log;
+        platform.pixels = self.pixels;
+        platform.freq = self.freq;
+    }
+}
+
+/// What a tick's publish passes hand its journal passes.
+#[derive(Debug)]
+#[must_use = "journal the tick with `journal_tick`"]
+pub struct TickPublish {
+    tick_end: SimTime,
+    /// Merged-event positions of the fires from users the profile store
+    /// does not hold: the pixel journal skips them.
+    unknown_users: Vec<usize>,
+    /// Campaigns whose budget this tick's charges exhausted, in id order.
+    crossed: Vec<CampaignId>,
+}
+
+/// The publish half of [`fold_tick_events`]: what the next tick's
+/// decisions read. Charges every impression to billing, joins every valid
+/// pixel fire's pixel audiences (checking the pixel against `journals`'
+/// registry), finds the campaigns the charges took past their budget
+/// (only while `recording`, as the fold does; `exhausted` gains them) and
+/// advances the clock to `tick_end`. Refreeze the budget snapshot after
+/// it, then run [`journal_tick`] on the same events before the next
+/// tick's publish.
+pub fn publish_tick(
+    platform: &mut Platform,
+    journals: &TickJournals,
+    merged: &[ShardEvent],
+    tick_end: SimTime,
+    recording: bool,
+    exhausted: &mut BTreeSet<CampaignId>,
+) -> TickPublish {
+    let charged = charge_pass(&mut platform.billing, merged, recording);
+    let unknown_users = join_pass(
+        &platform.profiles,
+        &journals.pixels,
+        &mut platform.audiences,
+        merged,
+    );
+    let crossed = newly_exhausted(&platform.campaigns, &platform.billing, charged, exhausted);
+    platform.clock.advance_to(tick_end);
+    TickPublish {
+        tick_end,
+        unknown_users,
+        crossed,
+    }
+}
+
+/// The journal half of [`fold_tick_events`], after [`publish_tick`] on
+/// the same `merged` events: appends the impression log, receipts and
+/// `ImpressionBilled` events, the pixel journal and the global frequency
+/// counts into `journals`, then journals the `BudgetExhausted` crossings
+/// and counts the tick.
+pub fn journal_tick(
+    journals: &mut TickJournals,
+    merged: &[ShardEvent],
+    publish: TickPublish,
+    mut ledger: Option<&mut ReceiptLedger>,
+    telemetry: &mut Telemetry,
+) -> TickFold {
+    let impressions = impression_count(merged) as u64;
+    if let Some(ledger) = ledger.as_deref_mut() {
+        ledger.reserve(impressions);
+    }
+    let receipts = ledger.is_some();
+    impression_journal_pass(&mut journals.log, ledger, telemetry, merged);
+    let pixel_fires = fire_journal_pass(
+        &mut journals.pixels,
+        &mut journals.freq,
+        merged,
+        &publish.unknown_users,
+    );
+    let fold = TickFold {
+        pixel_fires,
+        impressions,
+    };
+    close_journal(
+        telemetry,
+        fold,
+        receipts,
+        &publish.crossed,
+        publish.tick_end,
+    );
+    fold
+}
+
+fn impression_count(merged: &[ShardEvent]) -> usize {
+    merged
+        .iter()
+        .filter(|e| matches!(e, ShardEvent::Impression { .. }))
+        .count()
+}
+
+/// Publish: charges every impression to billing, totalled per ad
+/// ([`charge_impressions`]). While `recording`, returns the campaigns
+/// charged, the only ones that can have crossed their budget.
+fn charge_pass(
+    billing: &mut BillingLedger,
+    merged: &[ShardEvent],
+    recording: bool,
+) -> BTreeSet<CampaignId> {
+    let charged = charge_impressions(
+        billing,
+        merged.iter().filter_map(|event| match event {
+            ShardEvent::Impression { pending, .. } => Some(pending),
+            ShardEvent::PixelFire { .. } => None,
+        }),
+    );
+    if recording {
+        charged
+    } else {
+        BTreeSet::new()
+    }
+}
+
+/// Publish: joins each fire's user to the pixel audiences of its pixel,
+/// unless the user is unknown or the pixel unregistered (such a fire
+/// changes nothing). Returns the positions of the unknown users' fires.
+fn join_pass(
+    profiles: &ProfileStore,
+    pixels: &PixelRegistry,
+    audiences: &mut AudienceStore,
+    merged: &[ShardEvent],
+) -> Vec<usize> {
+    let mut unknown_users = Vec::new();
+    for (i, event) in merged.iter().enumerate() {
+        if let ShardEvent::PixelFire { user, pixel, .. } = *event {
+            if profiles.get(user).is_err() {
+                unknown_users.push(i);
+            } else if pixels.get(pixel).is_ok() {
+                audiences.record_pixel_visit(pixel, user);
             }
         }
-        ShardEvent::Impression { pending, .. } => freq.bump(pending.ad, pending.user),
-    };
-    // The second: every impression's charge, log record, receipt and,
-    // when recording, flight event and charged campaign (the only ones
-    // that can have crossed their budget).
-    let mut charged = BTreeSet::new();
-    let mut charge_effects = |event: &ShardEvent| {
+    }
+    unknown_users
+}
+
+/// Budget check after the charges: the `charged` campaigns now past their
+/// budget that `exhausted` does not hold yet, in id order, each added to
+/// it.
+fn newly_exhausted(
+    campaigns: &CampaignStore,
+    billing: &BillingLedger,
+    charged: BTreeSet<CampaignId>,
+    exhausted: &mut BTreeSet<CampaignId>,
+) -> Vec<CampaignId> {
+    charged
+        .into_iter()
+        .filter(|&campaign| {
+            campaigns
+                .campaign(campaign)
+                .is_ok_and(|c| !billing.within_budget(campaign, c.budget))
+                && exhausted.insert(campaign)
+        })
+        .collect()
+}
+
+/// Journal: every impression's log record, receipt and, while recording,
+/// `ImpressionBilled` flight event.
+fn impression_journal_pass(
+    log: &mut ImpressionLog,
+    mut ledger: Option<&mut ReceiptLedger>,
+    telemetry: &mut Telemetry,
+    merged: &[ShardEvent],
+) {
+    let recording = telemetry.is_enabled();
+    for event in merged {
         let ShardEvent::Impression {
             user_seq, pending, ..
         } = *event
         else {
-            return;
+            continue;
         };
-        let price = pending.charge(billing);
+        let price = pending.price();
         log.record(pending.logged(price));
         if let Some(ledger) = ledger.as_deref_mut() {
             ledger.append(
@@ -254,7 +480,6 @@ pub fn fold_tick_events(
             );
         }
         if recording {
-            charged.insert(pending.campaign);
             telemetry.record_event(FlightEvent {
                 at: pending.at,
                 user: pending.user,
@@ -271,60 +496,64 @@ pub fn fold_tick_events(
                 },
             });
         }
-    };
-    if split {
-        // The scope joins the helper, and a helper panic fails the scope
-        // as a panicking shard fails the engine tick scope.
-        crossbeam::scope(|s| {
-            s.spawn(|_| merged.iter().for_each(&mut audience_effects));
-            merged.iter().for_each(&mut charge_effects);
-        })
-        .expect("fold scope");
-    } else {
-        for event in &merged {
-            audience_effects(event);
-            charge_effects(event);
+    }
+}
+
+/// Journal: records every fire but the `unknown_users` positions in the
+/// pixel journal (which rejects unregistered pixels) and bumps every
+/// impression's global frequency counter. Returns the fires recorded.
+fn fire_journal_pass(
+    pixels: &mut PixelRegistry,
+    freq: &mut FrequencyCaps,
+    merged: &[ShardEvent],
+    unknown_users: &[usize],
+) -> u64 {
+    let mut unknown_users = unknown_users.iter().copied().peekable();
+    let mut recorded = 0;
+    for (i, event) in merged.iter().enumerate() {
+        match *event {
+            ShardEvent::PixelFire {
+                at, user, pixel, ..
+            } => {
+                if unknown_users.next_if_eq(&i).is_none() && pixels.record(pixel, user, at).is_ok()
+                {
+                    recorded += 1;
+                }
+            }
+            ShardEvent::Impression { pending, .. } => freq.bump(pending.ad, pending.user),
         }
     }
-    let fold = TickFold {
-        pixel_fires,
-        impressions: impressions as u64,
-    };
+    recorded
+}
+
+/// Journal, last: a `BudgetExhausted` event per campaign that crossed its
+/// budget this tick, and the tick's counters.
+fn close_journal(
+    telemetry: &mut Telemetry,
+    fold: TickFold,
+    receipts: bool,
+    crossed: &[CampaignId],
+    tick_end: SimTime,
+) {
     telemetry.count("engine.pixel_fires", fold.pixel_fires);
     telemetry.count("engine.impressions", fold.impressions);
-    if ledger.is_some() {
+    if receipts {
         telemetry.count("ledger.receipts", fold.impressions);
     }
-
-    // A campaign can only cross its budget in a tick that charged it, so
-    // checking the charged set covers every transition.
-    for campaign in charged {
-        if exhausted.contains(&campaign) {
-            continue;
-        }
-        let budget_limit = match campaigns.campaign(campaign) {
-            Ok(c) => c.budget,
-            Err(_) => continue,
-        };
-        if !billing.within_budget(campaign, budget_limit) {
-            exhausted.insert(campaign);
-            telemetry.count("delivery.budget_exhaustions", 1);
-            telemetry.record_event(FlightEvent {
-                at: tick_end,
-                user: UserId(0),
-                seq: campaign.raw(),
-                // Campaign-level: no single request caused it.
-                trace: 0,
-                kind: FlightKind::BudgetExhausted {
-                    campaign: campaign.raw(),
-                },
-            });
-        }
+    for campaign in crossed {
+        telemetry.count("delivery.budget_exhaustions", 1);
+        telemetry.record_event(FlightEvent {
+            at: tick_end,
+            user: UserId(0),
+            seq: campaign.raw(),
+            // Campaign-level: no single request caused it.
+            trace: 0,
+            kind: FlightKind::BudgetExhausted {
+                campaign: campaign.raw(),
+            },
+        });
     }
-
-    clock.advance_to(tick_end);
     telemetry.count("engine.ticks", 1);
-    fold
 }
 
 /// Registers, at zero, every counter that both run paths — the batch
@@ -1407,6 +1636,76 @@ mod tests {
         let journal: Vec<FlightEvent> = telemetry.flight().events().copied().collect();
         let ref_journal: Vec<FlightEvent> = ref_telemetry.flight().events().copied().collect();
         assert_eq!(journal.len(), 1_501);
+        assert_eq!(journal, ref_journal);
+    }
+
+    /// The serving applier's order: [`publish_tick`] on the platform,
+    /// then [`journal_tick`] on the journal stores held apart from it.
+    /// Publishing alone puts in place what the next tick decides from
+    /// (billing, audience joins, the clock and the exhausted set) and
+    /// journals nothing; the journal then leaves exactly what folding one
+    /// event at a time leaves: platform state, receipt chains, tally,
+    /// counters and the flight journal.
+    #[test]
+    fn publish_then_journal_equals_one_event_at_a_time() {
+        let (mut reference, pixel, ads) = fold_scenario();
+        let account = reference.campaigns.campaign(ads[0].0).expect("c").account;
+        let merged = tick_events(pixel, ads, account);
+        let tick_end = SimTime(DAY_MS);
+
+        let mut ref_telemetry = Telemetry::with_flight_capacity(10_000);
+        let mut ref_exhausted = BTreeSet::new();
+        let mut ref_ledger = ReceiptLedger::new(7, DAY_MS);
+        let want = reference_fold(
+            &mut reference,
+            &merged,
+            tick_end,
+            &mut ref_telemetry,
+            &mut ref_exhausted,
+            &mut ref_ledger,
+        );
+
+        let (mut platform, _, _) = fold_scenario();
+        let mut telemetry = Telemetry::with_flight_capacity(10_000);
+        let mut exhausted = BTreeSet::new();
+        let mut ledger = ReceiptLedger::new(7, DAY_MS);
+        let mut journals = TickJournals::take(&mut platform);
+        let publish = publish_tick(
+            &mut platform,
+            &journals,
+            &merged,
+            tick_end,
+            telemetry.is_enabled(),
+            &mut exhausted,
+        );
+        assert_eq!(
+            platform.billing.export_state(),
+            reference.billing.export_state()
+        );
+        assert_eq!(
+            platform.audiences.memberships(),
+            reference.audiences.memberships()
+        );
+        assert_eq!(platform.clock.now(), tick_end);
+        assert_eq!(exhausted, ref_exhausted);
+        assert_eq!(telemetry.flight().events().count(), 0);
+        assert_eq!(telemetry.metrics(), Telemetry::new().metrics());
+
+        let got = journal_tick(
+            &mut journals,
+            &merged,
+            publish,
+            Some(&mut ledger),
+            &mut telemetry,
+        );
+        journals.restore(&mut platform);
+        assert_eq!(got, want);
+        assert_eq!(platform.export_state(), reference.export_state());
+        assert_eq!(ledger.heads(), ref_ledger.heads());
+        assert_eq!(ledger, ref_ledger);
+        assert_eq!(telemetry.metrics(), ref_telemetry.metrics());
+        let journal: Vec<FlightEvent> = telemetry.flight().events().copied().collect();
+        let ref_journal: Vec<FlightEvent> = ref_telemetry.flight().events().copied().collect();
         assert_eq!(journal, ref_journal);
     }
 }

@@ -44,8 +44,9 @@ pub mod shard;
 pub mod view;
 
 pub use engine::{
-    fold_tick_events, register_run_counters, Engine, EngineConfig, EngineOutcome, EngineReport,
-    ResilienceOptions, ResilientOutcome, TickFold, DAY_MS,
+    fold_tick_events, journal_tick, publish_tick, register_run_counters, Engine, EngineConfig,
+    EngineOutcome, EngineReport, ResilienceOptions, ResilientOutcome, TickFold, TickJournals,
+    TickPublish, DAY_MS,
 };
 pub use event::ShardEvent;
 pub use merge::{merge_batches, merge_batches_lossy, MergeError};

@@ -28,11 +28,15 @@
 //! `max_delay` happen to chop the request stream — can change *latency*
 //! but never *outcomes*. At tick close each worker puts its events, already
 //! in arrival order, into key order (fixing the few same-millisecond
-//! ties), the batches merge in the canonical `(at, user, user_seq)` order
-//! and fold through [`treads_engine::fold_tick_events`], the same
-//! single-writer step the batch engine uses, and the front end is released
-//! as soon as the fold and the budget refreeze are done; the tick's
-//! bookkeeping follows while the next tick admits. A serving run fed a
+//! ties), and the batches merge in the canonical `(at, user, user_seq)`
+//! order. The applier then folds them with the batch engine's own passes,
+//! split by what the next tick reads: [`treads_engine::publish_tick`]
+//! (billing charges, pixel-audience joins) before the budget refreeze and
+//! the front end's release, [`treads_engine::journal_tick`] (impression
+//! log, receipts, pixel journal, global frequency counts, flight events)
+//! after it, beside the tick's bookkeeping, while the next tick admits.
+//! Together they leave what [`treads_engine::fold_tick_events`], the batch
+//! engine's single-writer step, leaves. A serving run fed a
 //! fixed arrival schedule is therefore **byte-identical** to the batch
 //! engine fed the same opportunity stream (proven at 1/2/8 shards in
 //! `tests/serving_equivalence.rs`), provided admission control never fires

@@ -69,7 +69,10 @@ pub(crate) struct Envelope {
 /// Everything one shard accumulated over one tick, handed to the applier
 /// at the tick-close barrier. The serving twin of
 /// [`treads_engine::ShardBatch`]. The worker accumulates straight into
-/// one and swaps in a fresh one at each tick close.
+/// one and swaps in a fresh one at each tick close. Only the merged
+/// `events` gate the barrier (their charges and audience joins are what
+/// the next tick decides from); the applier journals them, and counts the
+/// rest, after releasing the workers.
 #[derive(Clone)]
 pub(crate) struct TickBatch {
     pub shard: usize,
@@ -125,7 +128,7 @@ pub(crate) struct TraceKey {
 
 impl TickBatch {
     /// An empty batch for `shard`; `tick_end` is stamped at the flush.
-    fn new(shard: usize) -> Self {
+    pub(crate) fn new(shard: usize) -> Self {
         Self {
             shard,
             tick_end: 0,

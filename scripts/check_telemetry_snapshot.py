@@ -104,10 +104,11 @@ SERVING_COUNTERS = [
 SERVING_HISTOGRAMS = [
     "serving.request_latency_ns",
     "serving.batch_size",
-    # The applier's merge and fold, under the batch engine's names: the
-    # two largest layers of the tick-close barrier.
+    # The applier's merge and fold (both halves), under the batch
+    # engine's names, and the barrier itself: first batch in to ack out.
     "phase.merge_ns",
     "phase.apply_ns",
+    "serving.tick_close_ns",
 ]
 
 # Causal tracing accounting (DESIGN.md §13): span/retention counters the

@@ -20,10 +20,10 @@ use treads_repro::adplatform::delivery::DeliveryStats;
 use treads_repro::adplatform::profile::Gender;
 use treads_repro::adplatform::reporting::Impression;
 use treads_repro::adplatform::targeting::{TargetingExpr, TargetingSpec};
-use treads_repro::adplatform::{Platform, PlatformConfig};
-use treads_repro::adsim_types::{Money, UserId};
+use treads_repro::adplatform::{Platform, PlatformConfig, PlatformState};
+use treads_repro::adsim_types::{CampaignId, Money, SimTime, UserId};
 use treads_repro::engine::{Engine, EngineConfig, ResilienceOptions, DAY_MS};
-use treads_repro::resilience::FaultPlan;
+use treads_repro::resilience::{FaultPlan, LedgerHead};
 use treads_repro::serving::{OpportunityRequest, ServingConfig, ServingEngine};
 use treads_repro::telemetry::Telemetry;
 use treads_repro::websim::{ArrivalSchedule, ExtensionLog, SessionConfig, SiteRegistry};
@@ -162,6 +162,197 @@ fn serving_footprint(
         log: f.platform.log.all().to_vec(),
         stats: f.platform.stats,
         extensions: outcome.extensions,
+    }
+}
+
+/// Everything a run leaves behind: the platform's whole exported state
+/// (billing, global frequency counts, the impression log, the pixel
+/// journal, audience memberships), the receipt ledger's heads and the
+/// extension logs.
+#[derive(Debug, PartialEq)]
+struct FullFootprint {
+    state: PlatformState,
+    heads: Vec<LedgerHead>,
+    extensions: BTreeMap<UserId, ExtensionLog>,
+}
+
+/// [`fixture`] plus what makes a tick decide from the one before it: a
+/// retargeting campaign whose one ad targets the shop pixel's visitor
+/// audience, and a broad campaign whose budget runs out mid-run. The
+/// tight campaign outbids the retargeting one, which outbids the ample
+/// one, so retargeting starts once the budget is spent. Returns the
+/// retargeting and the tight campaign.
+fn publishing_fixture(seed: u64, population: u64) -> (Fixture, [CampaignId; 2]) {
+    let mut f = fixture(seed, population);
+    let pixel = f
+        .sites
+        .ids()
+        .into_iter()
+        .find_map(|id| f.sites.get(id)?.pixels.first().copied())
+        .expect("the shop site carries a pixel");
+    let p = &mut f.platform;
+    // Caps never bind, so only the budget stops the tight campaign.
+    p.config.frequency_cap = 1_000;
+    let audience = p
+        .create_pixel_audience(f.account, pixel)
+        .expect("pixel audience");
+    let retarget = p
+        .create_campaign(f.account, "retarget", Money::dollars(28), None)
+        .expect("campaign");
+    p.submit_ad(
+        retarget,
+        AdCreative::text("Welcome back", "Your cart is waiting"),
+        TargetingSpec::including(TargetingExpr::InAudience(audience)),
+    )
+    .expect("ad");
+    let tight = p
+        .create_campaign(f.account, "tight", Money::dollars(30), Some(tight_budget()))
+        .expect("campaign");
+    p.submit_ad(
+        tight,
+        AdCreative::text("Limited", "While it lasts"),
+        TargetingSpec::including(TargetingExpr::Everyone),
+    )
+    .expect("ad");
+    (f, [retarget, tight])
+}
+
+/// The `tight` campaign's budget: more than its first day's spend, less
+/// than its spend by the end of the second.
+fn tight_budget() -> Money {
+    Money::dollars(4)
+}
+
+/// The batch oracle over [`publishing_fixture`].
+fn full_batch_footprint(seed: u64, population: u64, session: SessionConfig) -> FullFootprint {
+    let (mut f, _) = publishing_fixture(seed, population);
+    let engine = Engine::new(EngineConfig {
+        shards: 1,
+        session,
+        tick_ms: DAY_MS,
+        seed,
+        ..EngineConfig::default()
+    });
+    let outcome = engine.run(&mut f.platform, &f.sites, &f.users, &f.extension_users);
+    FullFootprint {
+        state: f.platform.export_state(),
+        heads: outcome.ledger.expect("the ledger is on").heads(),
+        extensions: outcome.extensions,
+    }
+}
+
+/// [`publishing_fixture`] offered request by request through the serving
+/// stack, with admission wide open.
+fn full_serving_footprint(
+    seed: u64,
+    population: u64,
+    session: SessionConfig,
+    shards: usize,
+    max_batch: usize,
+) -> FullFootprint {
+    let (mut f, _) = publishing_fixture(seed, population);
+    let arrivals = ArrivalSchedule::from_sessions(&f.users, &f.sites.ids(), &session, seed);
+    let engine = ServingEngine::new(ServingConfig {
+        shards,
+        tick_ms: DAY_MS,
+        horizon_ms: session.days * DAY_MS,
+        seed,
+        max_batch,
+        max_delay: Duration::from_millis(1),
+        queue_watermark: u64::MAX,
+        retry_after_ms: 10,
+        ..ServingConfig::default()
+    });
+    let (outcome, served) =
+        engine.serve(&mut f.platform, &f.sites, &f.extension_users, |frontend| {
+            let tickets: Vec<_> = arrivals
+                .arrivals()
+                .iter()
+                .map(|a| {
+                    frontend.submit(OpportunityRequest {
+                        user: a.user,
+                        site: a.site,
+                        at: a.at,
+                    })
+                })
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| t.wait())
+                .filter(|r| r.is_served())
+                .count()
+        });
+    assert_eq!(served, arrivals.len(), "nothing sheds");
+    FullFootprint {
+        state: f.platform.export_state(),
+        heads: outcome.ledger.expect("the ledger is on").heads(),
+        extensions: outcome.extensions,
+    }
+}
+
+/// What tick t folds must be what tick t+1 decides from: its charges (the
+/// `tight` campaign stops winning once its spend crosses the budget) and
+/// its pixel-audience joins (the retargeting ad reaches a shop visitor
+/// from the tick after the visit). Serving must leave the batch oracle's
+/// whole platform state, receipt heads and extension logs at every shard
+/// count and micro-batch size.
+#[test]
+fn next_tick_decides_from_the_last_ticks_spend_and_audience_joins() {
+    let session = SessionConfig {
+        views_per_user_per_day: 2.0,
+        days: 4,
+    };
+    let (seed, population) = (41, 32);
+    let oracle = full_batch_footprint(seed, population, session);
+    let [retarget, tight] = publishing_fixture(seed, population).1;
+    let day = |at: SimTime| at.0 / DAY_MS;
+    // The fixture exercises both halves. The tight campaign wins on days
+    // 0 and 1, crossing its budget on day 1, and never after.
+    let spent_through = |d| -> Money {
+        oracle
+            .state
+            .impressions
+            .iter()
+            .filter(|imp| imp.campaign == tight && day(imp.at) <= d)
+            .map(|imp| imp.price)
+            .sum()
+    };
+    assert!(spent_through(0) < tight_budget() && tight_budget() <= spent_through(1));
+    let tight_days: BTreeSet<_> = oracle
+        .state
+        .impressions
+        .iter()
+        .filter(|imp| imp.campaign == tight)
+        .map(|imp| day(imp.at))
+        .collect();
+    assert_eq!(tight_days, BTreeSet::from([0, 1]));
+    // The retargeting ad reaches each shop visitor only from the tick
+    // after the visitor's first visit, and reaches some who first
+    // visited on day 1 or later on the very next day.
+    let mut first_visit = BTreeMap::new();
+    for fire in &oracle.state.pixel_events {
+        first_visit.entry(fire.user).or_insert(day(fire.at));
+    }
+    let retargeted: BTreeSet<_> = oracle
+        .state
+        .impressions
+        .iter()
+        .filter(|imp| imp.campaign == retarget)
+        .map(|imp| (day(imp.at), first_visit[&imp.user]))
+        .collect();
+    assert!(retargeted.iter().all(|&(on, first)| on > first));
+    assert!(retargeted
+        .iter()
+        .any(|&(on, first)| first >= 1 && on == first + 1));
+    assert_eq!(oracle.state.clock_now, SimTime(session.days * DAY_MS));
+    for shards in [1, 2, 8] {
+        for max_batch in [1, 64] {
+            let served = full_serving_footprint(seed, population, session, shards, max_batch);
+            assert_eq!(
+                oracle, served,
+                "serving diverged at {shards} shards, max_batch {max_batch}"
+            );
+        }
     }
 }
 
